@@ -18,6 +18,7 @@ from repro.bench import (
     make_kernel_event_throughput,
     make_photonic_fabric_reads,
     make_resilience_retry_hedge,
+    make_resipi_idle_epochs,
     make_sequence_fluid_path,
     make_serving_request_throughput,
     make_telemetry_null_recorder,
@@ -64,6 +65,12 @@ def test_bench_telemetry_null_recorder(benchmark):
 def test_bench_hazard_timeline_reads(benchmark):
     """Fabric reads under a capacity-mutating hazard timeline."""
     bits = benchmark(make_hazard_timeline_reads())
+    assert bits > 0
+
+
+def test_bench_resipi_idle_epochs(benchmark):
+    """ReSiPI epochs over a fabric serving one small read per 50 us."""
+    bits = benchmark(make_resipi_idle_epochs())
     assert bits > 0
 
 

@@ -248,6 +248,41 @@ def make_hazard_timeline_reads() -> Callable[[], float]:
     return run
 
 
+def make_resipi_idle_epochs() -> Callable[[], float]:
+    """ReSiPI epochs over a mostly idle fabric.
+
+    One small read every 50 us for 5 ms, each to the next chiplet, with
+    the ReSiPI controller ticking every 1 us epoch — about 5k epochs, of
+    which all but a few per read close with no traffic.  Tracks the
+    cost of a silent epoch: the tick, the monitor close and whatever
+    decision work survives it.
+    """
+    from .config import DEFAULT_PLATFORM
+    from .interposer.photonic.controllers import ReSiPIController
+    from .interposer.photonic.fabric import PhotonicInterposerFabric
+    from .interposer.topology import build_floorplan
+    from .sim.core import Environment
+
+    floorplan = build_floorplan(DEFAULT_PLATFORM)
+    chiplets = [site.chiplet_id for site in floorplan.compute_sites]
+
+    def run() -> float:
+        env = Environment()
+        fabric = PhotonicInterposerFabric(env, DEFAULT_PLATFORM, floorplan)
+        ReSiPIController(env, fabric, DEFAULT_PLATFORM)
+
+        def sparse_reads():
+            for index in range(100):
+                fabric.read(chiplets[index % len(chiplets)], 2e5)
+                yield env.timeout(50e-6)
+
+        env.process(sparse_reads())
+        env.run(until=5e-3)
+        return fabric.bits_read
+
+    return run
+
+
 def make_cluster_dispatch_throughput() -> Callable[[], int]:
     """Routed request stream across an 8-node fleet.
 
@@ -523,6 +558,7 @@ MICROBENCHMARKS: dict[str, Callable[[], Callable[[], object]]] = {
     "test_bench_serving_request_throughput": make_serving_request_throughput,
     "test_bench_telemetry_null_recorder": make_telemetry_null_recorder,
     "test_bench_hazard_timeline_reads": make_hazard_timeline_reads,
+    "test_bench_resipi_idle_epochs": make_resipi_idle_epochs,
     "test_bench_cluster_dispatch_throughput": make_cluster_dispatch_throughput,
     "test_bench_resilience_retry_hedge": make_resilience_retry_hedge,
     "test_bench_fidelity_des_reference": make_fidelity_des_reference,

@@ -10,9 +10,11 @@ Three policies, matching Section IV of the paper:
 * :class:`StaticController` — everything always on (the passive-network
   upper bound on performance and power; ablation baseline).
 
-Controllers are simulation processes: they wake at every epoch boundary,
-read the fabric's traffic monitor, and apply the new configuration
-(PCMC/laser switching costs are charged by the fabric).
+Controllers are simulation processes sharing one epoch loop
+(:class:`EpochController`): they wake at every epoch boundary, read the
+fabric's traffic monitor, and apply the new configuration unless the
+fabric has stayed idle (PCMC/laser switching costs are charged by the
+fabric).
 """
 
 from __future__ import annotations
@@ -24,7 +26,59 @@ from ...sim.core import Environment
 from .fabric import PhotonicInterposerFabric
 
 
-class ReSiPIController:
+class EpochController:
+    """The epoch loop shared by every controller: close, decide, apply.
+
+    Change-driven.  An epoch that closes with no traffic right after
+    another one did is skipped: the previous epoch already applied the
+    zero-demand (floor) decision, and nothing between the two can make
+    re-applying it do anything.  A hazard cap cannot go below one
+    gateway, and a comb change re-applies itself to every channel.  The
+    epoch ticks themselves stay, so the controller keeps its place in
+    the kernel's (time, insertion-order) firing order.
+
+    Subclasses apply their initial configuration in :meth:`boot` and
+    their per-epoch one in :meth:`decide`, always through the fabric's
+    hooks as instance attributes (the hazard engine caps them there).
+    ``decision_log`` gets one entry per change of decision.
+    """
+
+    def __init__(
+        self,
+        env: Environment,
+        fabric: PhotonicInterposerFabric,
+        config: PlatformConfig,
+    ):
+        self.env = env
+        self.fabric = fabric
+        self.config = config
+        self.decision_log: list = []
+        self.boot()
+        self._process = env.process(self._run(config.resipi_epoch_s))
+
+    def boot(self) -> None:
+        """Apply the configuration the fabric starts from."""
+
+    def decide(self, demand: dict[str, float]) -> None:
+        """Apply the configuration for one epoch's offered load (b/s)."""
+
+    def _log(self, decision) -> None:
+        """Append ``decision`` if it differs from the latest one."""
+        if not self.decision_log or self.decision_log[-1] != decision:
+            self.decision_log.append(decision)
+
+    def _run(self, epoch_s: float):
+        monitor = self.fabric.monitor
+        idle = False
+        while True:
+            yield self.env.timeout(epoch_s)
+            traffic = monitor.close_epoch()
+            if traffic or not idle:
+                self.decide(monitor.demanded_bandwidth_bps(traffic))
+            idle = not traffic
+
+
+class ReSiPIController(EpochController):
     """Epoch-driven gateway scaling via PCM couplers (ReSiPI [37])."""
 
     def __init__(
@@ -34,16 +88,14 @@ class ReSiPIController:
         config: PlatformConfig,
         headroom: float = 1.25,
     ):
-        self.env = env
-        self.fabric = fabric
-        self.config = config
         self.headroom = headroom
-        self.decision_log: list[dict[str, int]] = []
+        super().__init__(env, fabric, config)
+
+    def boot(self) -> None:
         # Start minimal: one gateway everywhere; traffic wakes more up.
-        fabric.set_active_memory_gateways(1)
-        for chiplet_id in fabric.inventories:
-            fabric.set_active_chiplet_gateways(chiplet_id, 1, 1)
-        self._process = env.process(self._run())
+        self.fabric.set_active_memory_gateways(1)
+        for chiplet_id in self.fabric.inventories:
+            self.fabric.set_active_chiplet_gateways(chiplet_id, 1, 1)
 
     def _gateways_for_demand(self, demand_bps: float, maximum: int) -> int:
         """Gateways needed to serve a demand with headroom, at least one."""
@@ -53,37 +105,28 @@ class ReSiPIController:
         needed = math.ceil(self.headroom * demand_bps / gateway_bw)
         return max(1, min(maximum, needed))
 
-    def _run(self):
-        while True:
-            yield self.env.timeout(self.config.resipi_epoch_s)
-            traffic = self.fabric.monitor.close_epoch()
-            demand = self.fabric.monitor.demanded_bandwidth_bps(traffic)
-            decisions: dict[str, int] = {}
-
-            memory_demand = demand.get("mem_read", 0.0)
-            n_memory = self._gateways_for_demand(
-                memory_demand, self.config.n_memory_write_gateways
+    def decide(self, demand: dict[str, float]) -> None:
+        fabric = self.fabric
+        n_memory = self._gateways_for_demand(
+            demand.get("mem_read", 0.0), self.config.n_memory_write_gateways
+        )
+        fabric.set_active_memory_gateways(n_memory)
+        decisions = {"mem": n_memory}
+        for chiplet_id, inventory in fabric.inventories.items():
+            n_read = self._gateways_for_demand(
+                demand.get(f"read:{chiplet_id}", 0.0),
+                inventory.n_read_gateways,
             )
-            self.fabric.set_active_memory_gateways(n_memory)
-            decisions["mem"] = n_memory
-
-            for chiplet_id, inventory in self.fabric.inventories.items():
-                read_demand = demand.get(f"read:{chiplet_id}", 0.0)
-                write_demand = demand.get(f"write:{chiplet_id}", 0.0)
-                n_read = self._gateways_for_demand(
-                    read_demand, inventory.n_read_gateways
-                )
-                n_write = self._gateways_for_demand(
-                    write_demand, inventory.n_write_gateways
-                )
-                self.fabric.set_active_chiplet_gateways(
-                    chiplet_id, n_write, n_read
-                )
-                decisions[chiplet_id] = n_read + n_write
-            self.decision_log.append(decisions)
+            n_write = self._gateways_for_demand(
+                demand.get(f"write:{chiplet_id}", 0.0),
+                inventory.n_write_gateways,
+            )
+            fabric.set_active_chiplet_gateways(chiplet_id, n_write, n_read)
+            decisions[chiplet_id] = n_read + n_write
+        self._log(decisions)
 
 
-class ProwavesController:
+class ProwavesController(EpochController):
     """Epoch-driven wavelength scaling (PROWAVES [11]).
 
     All gateways stay active; the controller scales the active share of
@@ -98,62 +141,42 @@ class ProwavesController:
         config: PlatformConfig,
         headroom: float = 1.25,
     ):
-        self.env = env
-        self.fabric = fabric
-        self.config = config
         self.headroom = headroom
-        self.decision_log: list[float] = []
-        fabric.set_wavelength_fraction(1.0 / config.n_wavelengths)
-        self._process = env.process(self._run())
+        super().__init__(env, fabric, config)
 
-    def _run(self):
-        per_lambda_bw = self.config.wavelength_data_rate_bps
+    def boot(self) -> None:
+        self.fabric.set_wavelength_fraction(1.0 / self.config.n_wavelengths)
+
+    def decide(self, demand: dict[str, float]) -> None:
+        # Peak per-gateway demand across channels sets the comb size.
+        peak = (demand.get("mem_read", 0.0)
+                / self.config.n_memory_write_gateways)
+        for chiplet_id, inventory in self.fabric.inventories.items():
+            peak = max(
+                peak,
+                demand.get(f"read:{chiplet_id}", 0.0)
+                / inventory.n_read_gateways,
+            )
+            peak = max(
+                peak,
+                demand.get(f"write:{chiplet_id}", 0.0)
+                / inventory.n_write_gateways,
+            )
         n_lambda = self.config.n_wavelengths
-        while True:
-            yield self.env.timeout(self.config.resipi_epoch_s)
-            traffic = self.fabric.monitor.close_epoch()
-            demand = self.fabric.monitor.demanded_bandwidth_bps(traffic)
-            # Peak per-gateway demand across channels sets the comb size.
-            peak = 0.0
-            mem_gateways = self.config.n_memory_write_gateways
-            peak = max(peak, demand.get("mem_read", 0.0) / mem_gateways)
-            for chiplet_id, inventory in self.fabric.inventories.items():
-                peak = max(
-                    peak,
-                    demand.get(f"read:{chiplet_id}", 0.0)
-                    / inventory.n_read_gateways,
-                )
-                peak = max(
-                    peak,
-                    demand.get(f"write:{chiplet_id}", 0.0)
-                    / inventory.n_write_gateways,
-                )
-            wanted = math.ceil(self.headroom * peak / per_lambda_bw)
-            wanted = max(1, min(n_lambda, wanted))
-            fraction = wanted / n_lambda
-            self.fabric.set_wavelength_fraction(fraction)
-            self.decision_log.append(fraction)
+        wanted = math.ceil(
+            self.headroom * peak / self.config.wavelength_data_rate_bps
+        )
+        fraction = max(1, min(n_lambda, wanted)) / n_lambda
+        self.fabric.set_wavelength_fraction(fraction)
+        self._log(fraction)
 
 
-class StaticController:
-    """No reconfiguration: all gateways and wavelengths always active."""
+class StaticController(EpochController):
+    """No reconfiguration: all gateways and wavelengths always active.
 
-    def __init__(
-        self,
-        env: Environment,
-        fabric: PhotonicInterposerFabric,
-        config: PlatformConfig,
-    ):
-        self.env = env
-        self.fabric = fabric
-        self.decision_log: list[None] = []
-        # The fabric boots fully active; drain epochs so monitors don't grow.
-        self._process = env.process(self._run(config.resipi_epoch_s))
-
-    def _run(self, epoch_s: float):
-        while True:
-            yield self.env.timeout(epoch_s)
-            self.fabric.monitor.close_epoch()
+    The fabric boots fully active; the epoch loop only drains the
+    monitor so it does not grow.
+    """
 
 
 CONTROLLER_FACTORIES = {

@@ -197,6 +197,15 @@ class PhotonicInterposerFabric(InterposerFabric):
 
     # -- controller hooks ---------------------------------------------------------
 
+    def _settled(self, channel: BandwidthChannel, target_bps: float) -> bool:
+        """Whether ``channel`` runs at ``target_bps`` with no write pending.
+
+        A PCMC-deferred increase that is still in flight leaves
+        ``_desired_bandwidth`` ahead of the channel's current rate.
+        """
+        return (channel._bandwidth_bps == target_bps
+                and self._desired_bandwidth.get(channel.name) == target_bps)
+
     def _apply_bandwidth(self, channel: BandwidthChannel, target_bps: float,
                          increase: bool) -> None:
         """Apply a channel bandwidth change, honouring PCMC write time.
@@ -206,8 +215,7 @@ class PhotonicInterposerFabric(InterposerFabric):
         cells have been re-amorphised (~1 us), so a demand spike pays one
         epoch of lag — the ReSiPI behaviour.
         """
-        if (channel._bandwidth_bps == target_bps
-                and self._desired_bandwidth.get(channel.name) == target_bps):
+        if self._settled(channel, target_bps):
             # Already at (and settled on) this rate: re-asserting it is
             # a no-op either way, and steady-state epochs do so for
             # every channel.
@@ -233,6 +241,13 @@ class PhotonicInterposerFabric(InterposerFabric):
                 f"memory gateways must be in [1, {maximum}], got {count}"
             )
         previous = int(self.active_memory_gateways.value)
+        target = count * self._gateway_bw * self._wavelength_fraction
+        if count == previous and self._settled(
+            self.memory_write_channel, target
+        ):
+            # Re-asserting the current setting: nothing to switch,
+            # integrate or reschedule.
+            return
         if count != previous:
             self.reconfiguration_count += 1
             self.pcmc_energy_j += ph.PCMC_SWITCHING_ENERGY_J * abs(
@@ -240,9 +255,7 @@ class PhotonicInterposerFabric(InterposerFabric):
             )
         self.active_memory_gateways.set(float(count))
         self._apply_bandwidth(
-            self.memory_write_channel,
-            count * self._gateway_bw * self._wavelength_fraction,
-            increase=count > previous,
+            self.memory_write_channel, target, increase=count > previous,
         )
 
     def set_active_chiplet_gateways(
@@ -262,20 +275,24 @@ class PhotonicInterposerFabric(InterposerFabric):
             )
         previous_write = int(self.active_write_gateways[chiplet_id].value)
         previous_read = int(self.active_read_gateways[chiplet_id].value)
+        write_channel = self.chiplet_write_channels[chiplet_id]
+        read_channel = self.chiplet_read_channels[chiplet_id]
+        scale = self._gateway_bw * self._wavelength_fraction
+        if (n_write == previous_write and n_read == previous_read
+                and self._settled(write_channel, n_write * scale)
+                and self._settled(read_channel, n_read * scale)):
+            return
         delta = abs(n_write - previous_write) + abs(n_read - previous_read)
         if delta:
             self.reconfiguration_count += 1
             self.pcmc_energy_j += ph.PCMC_SWITCHING_ENERGY_J * delta
         self.active_write_gateways[chiplet_id].set(float(n_write))
         self.active_read_gateways[chiplet_id].set(float(n_read))
-        scale = self._gateway_bw * self._wavelength_fraction
         self._apply_bandwidth(
-            self.chiplet_write_channels[chiplet_id], n_write * scale,
-            increase=n_write > previous_write,
+            write_channel, n_write * scale, increase=n_write > previous_write,
         )
         self._apply_bandwidth(
-            self.chiplet_read_channels[chiplet_id], n_read * scale,
-            increase=n_read > previous_read,
+            read_channel, n_read * scale, increase=n_read > previous_read,
         )
 
     def set_wavelength_fraction(self, fraction: float) -> None:
@@ -285,8 +302,13 @@ class PhotonicInterposerFabric(InterposerFabric):
                 f"wavelength fraction must be in (0, 1], got {fraction}"
             )
         self._wavelength_fraction = fraction
-        self.memory_write_channel.set_bandwidth(
-            self.active_memory_gateways.value * self._gateway_bw * fraction
+        # Through ``_apply_bandwidth`` like the chiplet channels below,
+        # so a PCMC-deferred gateway increase still pending on this
+        # channel cannot later overwrite the comb change.
+        self._apply_bandwidth(
+            self.memory_write_channel,
+            self.active_memory_gateways.value * self._gateway_bw * fraction,
+            increase=False,
         )
         for chiplet_id in self.inventories:
             self.set_active_chiplet_gateways(

@@ -9,6 +9,7 @@
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 from ..errors import SimulationError
@@ -51,12 +52,18 @@ class TimeWeightedValue:
         return self.integral() / self.env.now
 
 
+HISTORY_EPOCHS = 1024
+"""Closed epochs an :class:`EpochTrafficMonitor` keeps in ``history``:
+the most recent ones only, so a long run's monitor stays bounded."""
+
+
 class EpochTrafficMonitor:
     """Traffic accumulated per key within fixed-length epochs.
 
     Controllers call :meth:`record` as messages move, and
     :meth:`close_epoch` at each epoch boundary to obtain the per-key bit
-    counts of the epoch just ended.
+    counts of the epoch just ended.  ``history`` keeps the last
+    :data:`HISTORY_EPOCHS` of them.
     """
 
     def __init__(self, env: Environment, epoch_length_s: float):
@@ -65,7 +72,7 @@ class EpochTrafficMonitor:
         self.env = env
         self.epoch_length_s = epoch_length_s
         self._current: dict[str, float] = {}
-        self.history: list[dict[str, float]] = []
+        self.history: deque[dict[str, float]] = deque(maxlen=HISTORY_EPOCHS)
 
     def record(self, key: str, bits: float) -> None:
         """Attribute ``bits`` of traffic to ``key`` in the current epoch."""
@@ -75,7 +82,7 @@ class EpochTrafficMonitor:
 
     def close_epoch(self) -> dict[str, float]:
         """End the current epoch; returns and archives its traffic map."""
-        finished = dict(self._current)
+        finished = self._current
         self.history.append(finished)
         self._current = {}
         return finished

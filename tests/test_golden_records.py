@@ -1,0 +1,200 @@
+"""Golden per-request records for the photonic example studies.
+
+Each pin is a SHA-256 over the exact ``repr`` of every request record
+of every scheduler a study builds (the fidelity engine's calibration
+runs included), in construction order, plus each cell's network
+energy.  ``repr`` of a float round-trips exactly, so a digest only
+matches when every timestamp of every record does.  Performance work
+on the kernel, the fabric or the controllers must reproduce these bit
+for bit; a deliberate change of simulation semantics re-pins them and
+says why.
+
+Simulated durations and fault times are scaled down together (the
+``SCALES`` factor) so the whole file runs in a few seconds.  Network
+energy is compared to 1e-12 relative rather than exactly: skipping a
+same-value ``TimeWeightedValue.set`` only regroups the float sums of
+the power integrals.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from repro.experiments.serving_study import simulate_any_serving_cell
+from repro.serving.scheduler import RequestScheduler
+from repro.studies import StudySpec, lower_study
+
+EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
+
+SCALED_KEYS = ("duration_s", "at_s")
+
+SCALES = {
+    "fault_serving": 0.75,
+    "slo_sweep": 0.3,
+    "study": 0.5,
+    "transformer": 0.5,
+    "telemetry": 1.0,
+    "fidelity": 1.0,
+    "transformer_fluid": 1.0,
+}
+"""Per example spec: factor on every simulated duration and fault time."""
+
+_HAZARDS = {"events": [
+    {"kind": "gateway-fail", "at_s": 300e-6, "memory_gateways": 3,
+     "chiplet_gateways": [["dense100-0", 2, 1]]},
+    {"kind": "ring-drift", "at_s": 400e-6, "duration_s": 300e-6,
+     "temperature_rise_k": 8.0},
+    {"kind": "laser-degradation", "at_s": 450e-6, "duration_s": 200e-6,
+     "power_fraction": 0.5},
+    {"kind": "gateway-repair", "at_s": 700e-6, "memory_gateways": 3,
+     "chiplet_gateways": [["dense100-0", 2, 1]]},
+]}
+
+
+def controller_cell(controller: str) -> dict:
+    """A small bursty LeNet5 serving study on one SiPh controller.
+
+    Every hazard kind lands between bursts, inside idle epochs.
+    """
+    return {
+        "schema": 7,
+        "name": f"golden-{controller}",
+        "kind": "serving",
+        "workload": {
+            "models": [{"model": "LeNet5", "fraction": 1.0}],
+            "arrival": "mmpp",
+            "burstiness": 4.0,
+            "rate_rps": 40e3,
+            "duration_s": 2e-3,
+            "seed": 11,
+        },
+        "platform": {
+            "name": "2.5D-CrossLight-SiPh",
+            "controller": controller,
+            "faults": _HAZARDS,
+        },
+    }
+
+
+GOLDEN = {
+    # name: (records, sha256 of their reprs, network energy per cell)
+    "fault_serving": (
+        98,
+        "bc21394bc1455d9ad9ab71e4edaa920eda4635abd2d9c6a48ab85ac9fe539df0",
+        [0.03738621147928259, 0.03696464926410177],
+    ),
+    "slo_sweep": (
+        170,
+        "47c0c884a032e83ac0875be59c9b1f5fbfaecac8419b82a33781aed0202c2c05",
+        [0.013639308943290277, 0.02617133104047021,
+         0.013930462290339445, 0.027707769826492923],
+    ),
+    "study": (
+        28,
+        "788a7ccfe612b9628de3cdaac5054a1cbef27990bb823e17ba7fd486dc398d9c",
+        [0.05700475982949644, 0.05706964216042534],
+    ),
+    "transformer": (
+        48,
+        "0869b2ffcf20d7dbdb37cf60a6a372958806155a4635a20137b98ce26c76737e",
+        [0.009236539870782146, 0.009505797394252335,
+         0.009236539890182147, 0.009766678514121753],
+    ),
+    "telemetry": (
+        37,
+        "0181103a60787422b4d526e4ad204c2acc8b5bb1b897edd5ce6a05ca3e702382",
+        [0.01996323482461983],
+    ),
+    "fidelity": (
+        66,
+        "3e403c0225ada4e610dc279d49e152134dd761a1eec974c1f878e1cc4bde9021",
+        [0.0247398837422764, 0.02581569551179378, 0.02581569551179378],
+    ),
+    "transformer_fluid": (
+        99,
+        "ee5b7f9ef52ebc09b9c3e23aa7f225dcadae56c72081179b3c15b5127521aa95",
+        [0.03501579437537745, 0.03308615144238549, 0.03377529639430663],
+    ),
+    "prowaves": (
+        103,
+        "c7a908573144624c23c6d8743663036ad433b995b9e3fcee8c27be0eb01cc9d2",
+        [0.015877867221176227],
+    ),
+    "static": (
+        103,
+        "d1cd048182f1a3fdaa7f44801661e5a89b3e362117159d29cf9b01d80f0ad56d",
+        [0.1304125831684887],
+    ),
+}
+
+
+def scaled(data, factor: float):
+    """A copy of a spec's JSON with every simulated time times ``factor``."""
+    if isinstance(data, dict):
+        return {
+            key: (value * factor
+                  if key in SCALED_KEYS and isinstance(value, (int, float))
+                  else scaled(value, factor))
+            for key, value in data.items()
+        }
+    if isinstance(data, list):
+        return [scaled(value, factor) for value in data]
+    return data
+
+
+def study_data(name: str) -> dict:
+    if name in SCALES:
+        data = json.loads((EXAMPLES / f"{name}_spec.json").read_text())
+        return scaled(data, SCALES[name])
+    return controller_cell(name)
+
+
+def record_digest(data: dict, monkeypatch) -> tuple[int, str, list]:
+    """(record count, digest, per-cell network energy) of one study."""
+    built: list = []
+    original = RequestScheduler.__init__
+
+    def init(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(RequestScheduler, "__init__", init)
+    _, cells = lower_study(StudySpec.from_dict(data))
+    digest = hashlib.sha256()
+    count = 0
+    energies = []
+    for group in cells:
+        for cell in group:
+            built.clear()
+            energies.append(simulate_any_serving_cell(cell).network_energy_j)
+            for scheduler in built:
+                for record in scheduler.records:
+                    digest.update(repr(record).encode())
+                    digest.update(b"\n")
+                    count += 1
+    return count, digest.hexdigest(), energies
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_records_match_golden(name, monkeypatch):
+    count, digest, energies = record_digest(study_data(name), monkeypatch)
+    golden_count, golden_digest, golden_energies = GOLDEN[name]
+    assert count == golden_count
+    assert digest == golden_digest
+    assert energies == pytest.approx(golden_energies, rel=1e-12, abs=0.0)
+
+
+def test_every_photonic_example_is_pinned():
+    """A new SiPh example spec must be pinned here as well."""
+    photonic = {
+        path.name[:-len("_spec.json")]
+        for path in EXAMPLES.glob("*_spec.json")
+        if json.loads(path.read_text())["platform"]["name"]
+        == "2.5D-CrossLight-SiPh"
+    }
+    assert photonic == set(SCALES)
+    assert set(GOLDEN) == set(SCALES) | {"prowaves", "static"}

@@ -144,6 +144,54 @@ class TestReconfiguration:
         assert fabric.pcmc_energy_j == 0.0
         assert fabric.reconfiguration_count == 0
 
+    def test_comb_cut_survives_a_pending_gateway_increase(self):
+        """A PCMC-deferred increase must not overwrite a later comb cut."""
+        env, fabric = make_fabric()
+        fabric.set_active_memory_gateways(1)
+        fabric.set_active_memory_gateways(3)  # lands after the PCMC write
+        env.run(until=0.5e-6)
+        fabric.set_wavelength_fraction(0.5)
+        env.run(until=3e-6)  # well past the deferred write
+        assert fabric.memory_write_channel.bandwidth_bps == (
+            3 * fabric.config.gateway_bandwidth_bps * 0.5
+        )
+
+    def test_reasserting_a_settled_setting_touches_nothing(self,
+                                                          monkeypatch):
+        env, fabric = make_fabric()
+        fabric.set_active_memory_gateways(2)
+        fabric.set_active_chiplet_gateways("3x3 conv-0", 1, 2)
+        env.run(until=1e-6)
+        touched = []
+        monkeypatch.setattr(fabric, "_apply_bandwidth",
+                            lambda *args, **kwargs: touched.append(args))
+        for signal in (fabric.active_memory_gateways,
+                       fabric.active_write_gateways["3x3 conv-0"],
+                       fabric.active_read_gateways["3x3 conv-0"]):
+            monkeypatch.setattr(signal, "set", touched.append)
+        fabric.set_active_memory_gateways(2)
+        fabric.set_active_chiplet_gateways("3x3 conv-0", 1, 2)
+        assert touched == []
+        assert fabric.reconfiguration_count == 2
+
+    def test_a_pending_increase_is_not_settled(self, monkeypatch):
+        """Same count, but its PCMC write has not landed: not a no-op."""
+        env, fabric = make_fabric()
+        fabric.set_active_memory_gateways(1)
+        fabric.set_active_memory_gateways(3)  # PCMC write still pending
+        applied = []
+        original = fabric._apply_bandwidth
+
+        def apply(channel, target_bps, increase):
+            applied.append(target_bps)
+            original(channel, target_bps, increase)
+
+        monkeypatch.setattr(fabric, "_apply_bandwidth", apply)
+        fabric.set_active_memory_gateways(3)
+        assert applied == [3 * fabric.config.gateway_bandwidth_bps]
+        env.run(until=3e-6)
+        assert fabric.memory_write_channel.bandwidth_bps == applied[0]
+
     def test_wavelength_fraction_scales_bandwidth(self):
         env, fabric = make_fabric()
         full = fabric.memory_write_channel.bandwidth_bps

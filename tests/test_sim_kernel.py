@@ -8,6 +8,7 @@ from repro.errors import SimulationError
 from repro.sim.core import Environment, Event
 from repro.sim.resources import BandwidthChannel, Resource, Store
 from repro.sim.stats import (
+    HISTORY_EPOCHS,
     EpochTrafficMonitor,
     LatencyRecorder,
     TimeWeightedValue,
@@ -560,6 +561,16 @@ class TestStats:
         assert epoch == {"a": 150.0, "b": 10.0}
         assert monitor.close_epoch() == {}
         assert len(monitor.history) == 2
+
+    def test_epoch_monitor_history_is_bounded(self):
+        env = Environment()
+        monitor = EpochTrafficMonitor(env, epoch_length_s=1.0)
+        for index in range(HISTORY_EPOCHS + 10):
+            monitor.record("a", float(index))
+            monitor.close_epoch()
+        assert len(monitor.history) == HISTORY_EPOCHS
+        assert monitor.history[-1] == {"a": float(HISTORY_EPOCHS + 9)}
+        assert monitor.history[0] == {"a": 10.0}
 
     def test_epoch_monitor_demand(self):
         env = Environment()
