@@ -385,11 +385,12 @@ def make_resilience_retry_hedge() -> Callable[[], int]:
 def _fidelity_reference_cell(fidelity=None):
     """The representative serving cell the fidelity benchmarks share."""
     from .config import DEFAULT_PLATFORM
-    from .experiments.serving_study import ServingCell
+    from .experiments.serving_study import ScenarioCell
     from .serving.scheduler import BatchPolicy
 
-    return ServingCell(
-        platform="2.5D-CrossLight-SiPh", model="LeNet5",
+    return ScenarioCell(
+        platform="2.5D-CrossLight-SiPh",
+        models=(("LeNet5", 1.0, None, 0),),
         controller="resipi", policy=BatchPolicy.fifo(),
         arrival_kind="poisson", rate_rps=100e3, duration_s=2e-3,
         seed=7, config=DEFAULT_PLATFORM, fidelity=fidelity,
@@ -403,12 +404,12 @@ def make_fidelity_des_reference() -> Callable[[], int]:
     discrete-event simulation of the same serving point the fluid
     benchmarks predict (~200 requests of LeNet5 at 100k req/s).
     """
-    from .experiments.serving_study import simulate_serving_cell
+    from .experiments.serving_study import simulate_scenario_cell
 
     cell = _fidelity_reference_cell()
 
     def run() -> int:
-        return simulate_serving_cell(cell).requests_completed
+        return simulate_scenario_cell(cell).requests_completed
 
     return run
 

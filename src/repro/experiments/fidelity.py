@@ -73,14 +73,11 @@ from ..sim.core import Environment
 from ..studies.registry import ARRIVALS, MODELS
 from .runner import build_platform, config_digest
 from .serving_study import (
-    ScenarioCell,
-    ServingCell,
     _compute_degraded_s,
     _sequence_stream,
     compute_hazard_records,
     platform_timelines,
     simulate_scenario_cell,
-    simulate_serving_cell,
 )
 
 __all__ = [
@@ -226,19 +223,15 @@ def _calibration_cell(cell, calibration_s: float):
         return replace(cell, duration_s=calibration_s, fidelity=None,
                        platform_faults=None, node_faults=None,
                        digest="")
-    if isinstance(cell, ScenarioCell):
-        return replace(cell, duration_s=calibration_s, fidelity=None,
-                       faults=None, digest="")
-    return replace(cell, duration_s=calibration_s, fidelity=None)
+    return replace(cell, duration_s=calibration_s, fidelity=None,
+                   faults=None, digest="")
 
 
 def _run_des(cell, record_sink: list | None = None):
     """Full-fidelity worker dispatch for a (fidelity-stripped) cell."""
     if isinstance(cell, ClusterCell):
         return simulate_cluster_cell(cell, record_sink=record_sink)
-    if isinstance(cell, ScenarioCell):
-        return simulate_scenario_cell(cell, record_sink=record_sink)
-    return simulate_serving_cell(cell, record_sink=record_sink)
+    return simulate_scenario_cell(cell, record_sink=record_sink)
 
 
 def _calibrate(cell, policy: FidelityPolicy
@@ -348,10 +341,8 @@ def _sequence_calibration(served):
 def _arrival_process(cell):
     """Instantiate the cell's arrival process (registry-validated)."""
     return ARRIVALS.get(cell.arrival_kind)(
-        cell.rate_rps, cell.seed,
-        burstiness=getattr(cell, "burstiness", 4.0),
-        dwell_s=getattr(cell, "dwell_s", 20e-6),
-        think_time_s=getattr(cell, "think_time_s", 10e-6),
+        cell.rate_rps, cell.seed, burstiness=cell.burstiness,
+        dwell_s=cell.dwell_s, think_time_s=cell.think_time_s,
     )
 
 
@@ -366,13 +357,6 @@ def _arrival_scv(cell, times: np.ndarray) -> float:
     return float(gaps.var() / mean ** 2)
 
 
-def _cell_models(cell) -> tuple[tuple[str, float, float | None, int], ...]:
-    models = getattr(cell, "models", None)
-    if models is None:
-        return ((cell.model, 1.0, None, 0),)
-    return models
-
-
 def _model_assignment(cell, n: int) -> np.ndarray:
     """Per-arrival tenant index — bit-identical to ``_mix_stream``.
 
@@ -381,7 +365,7 @@ def _model_assignment(cell, n: int) -> np.ndarray:
     from the same generator yields the identical double stream, so the
     fluid cohort targets exactly the models DES would have.
     """
-    models = _cell_models(cell)
+    models = cell.models
     if len(models) == 1:
         return np.zeros(n, dtype=np.intp)
     fractions = np.cumsum([fraction for _, fraction, _, _ in models])
@@ -404,7 +388,7 @@ def _service_inflation(cell, mac_fraction: float) -> float:
     """
     if mac_fraction >= 1.0:
         return 1.0
-    primary = _cell_models(cell)[0][0]
+    primary = cell.models[0][0]
     memo_key = (cell.platform, cell.controller, config_digest(cell.config),
                 primary, round(mac_fraction, 12))
     cached = _INFLATION_MEMO.get(memo_key)
@@ -577,8 +561,7 @@ def _build_windows(cell, state: _CalibrationState, policy_slots: int,
                 service_scv=state.service_scv, arrival_scv=arrival_scv,
             ))
         return windows, walk
-    faults = getattr(cell, "faults", None)
-    _, compute_events = platform_timelines(faults)
+    _, compute_events = platform_timelines(cell.faults)
     windows = [
         FluidWindow(
             start_s=start, end_s=end, servers=policy_slots,
@@ -604,9 +587,8 @@ def _sample_services(cell, state: _CalibrationState,
     n = len(model_indices)
     uniforms = _weyl(n, _PHI)
     services = np.empty(n, dtype=float)
-    models = _cell_models(cell)
     overall = state.service_sorted
-    for index, (name, _, _, _) in enumerate(models):
+    for index, (name, _, _, _) in enumerate(cell.models):
         mask = model_indices == index
         if not mask.any():
             continue
@@ -660,7 +642,7 @@ def _sequence_lengths(cell, n: int,
     prompts = np.empty(n, dtype=np.intp)
     outputs = np.empty(n, dtype=np.intp)
     stream = _sequence_stream(
-        _cell_models(cell), sequences, cell.length_distribution, cell.seed
+        cell.models, sequences, cell.length_distribution, cell.seed
     )
     for index, (_, prompt, output) in enumerate(islice(stream, n)):
         prompts[index] = prompt
@@ -860,9 +842,8 @@ def _validate(cell, state: _CalibrationState, warm: bool,
 
 def _per_model(cell, trace: _FluidTrace, elapsed: float
                ) -> tuple[ModelServingStats, ...]:
-    models = _cell_models(cell)
     stats = []
-    for index, (name, _, slo_s, _) in enumerate(models):
+    for index, (name, _, slo_s, _) in enumerate(cell.models):
         mask = trace.model_indices == index
         latencies = trace.latency_s[mask]
         violations = (
@@ -887,7 +868,7 @@ def _window_stats(cell, trace: _FluidTrace, span, elapsed: float
     fault_start, fault_end = span
     slos = {
         index: slo_s
-        for index, (_, _, slo_s, _) in enumerate(_cell_models(cell))
+        for index, (_, _, slo_s, _) in enumerate(cell.models)
     }
     phases = (
         ("before", 0.0, fault_start),
@@ -954,9 +935,8 @@ def _fluid_serving_result(cell, state: _CalibrationState,
         if completed else cell.duration_s
     )
     calibration: ServingResult = state.result
-    _, compute_events = platform_timelines(getattr(cell, "faults", None))
+    _, compute_events = platform_timelines(cell.faults)
     span = _fault_span(compute_events, elapsed)
-    mix_label = getattr(cell, "mix_label", getattr(cell, "model", ""))
     ttft_profile = token_profile = None
     tokens = 0
     tokens_per_s = 0.0
@@ -978,7 +958,7 @@ def _fluid_serving_result(cell, state: _CalibrationState,
         decode_remaps = calibration.decode_remaps
     return ServingResult(
         platform=calibration.platform,
-        model=mix_label,
+        model=cell.mix_label,
         controller=cell.controller,
         policy=cell.policy.label,
         arrival_kind=cell.arrival_kind,

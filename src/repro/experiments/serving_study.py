@@ -1,20 +1,20 @@
 """Latency-under-load studies: serving simulations as cacheable cells.
 
-Two cell shapes cover every serving scenario:
+Every single-node serving point is one :class:`ScenarioCell`: a
+traffic mix (one tenant or several, with per-model SLOs/priorities and
+quotas) under one dispatch policy (``fifo``/``max-batch``/``edf``/
+``priority``/``continuous``, optional deadline shedding), an arrival
+process with its knobs, an optional weight-residency budget, fabric and
+compute hazard timelines, and the optional lifecycle, fidelity and
+telemetry policies.  The declarative study layer
+(:mod:`repro.studies`) lowers :class:`~repro.studies.spec.StudySpec`
+points onto these (routed fleets onto
+:class:`~repro.cluster.study.ClusterCell`), and
+:func:`simulate_scenario_cell` is the one simulate-and-assemble path
+for them.
 
-* :class:`ServingCell` — the classic latency–throughput point: one
-  model, one arrival process, one batch policy.  ``serve-study`` sweeps
-  arrival rate × policy × controller × platform over these.
-* :class:`ScenarioCell` — the spec-driven generalisation: a
-  multi-tenant traffic mix with per-model SLOs/priorities, deadline-
-  aware policies (``edf``/``priority``/shedding), shared
-  weight-residency budgets and tunable arrival-process knobs.  The
-  declarative study layer (:mod:`repro.studies`) lowers
-  :class:`~repro.studies.spec.StudySpec` points onto these, keying the
-  cache by the spec digest.
-
-Both reuse the parallel fan-out and the persistent on-disk result cache
-of the experiment runner, extending ``cell_key`` with the serving
+Cells reuse the parallel fan-out and the persistent on-disk result
+cache of the experiment runner, extending ``cell_key`` with the serving
 parameters so serving points never collide with single-inference
 results.
 """
@@ -28,7 +28,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from ..cluster.hazards import NODE_HAZARD_KINDS
-from ..config import DEFAULT_PLATFORM, PlatformConfig
+from ..config import PlatformConfig
 from ..core.engine import ExecutionTrace
 from ..errors import ConfigurationError
 from ..dnn.workload import extract_workload
@@ -66,73 +66,11 @@ Version 3: ``ServingResult`` grew the hazard fields
 a ``faults`` timeline — fault-free results are unchanged, but the
 record layout and key contents moved together."""
 
-DEFAULT_RATES_RPS = (20e3, 50e3, 100e3, 200e3)
-"""Default arrival-rate sweep (requests/s): subsaturation through the
-knee of the LeNet5-class latency–throughput curve."""
-
-DEFAULT_DURATION_S = 2e-3
-"""Default injection window per point (simulated seconds)."""
-
-
-@dataclass(frozen=True)
-class ServingCell:
-    """One latency-under-load simulation point.
-
-    ``fidelity`` is the hybrid-fidelity policy
-    (:class:`~repro.experiments.fidelity.FidelityPolicy`): ``None`` —
-    the default, and the only value the classic constructors produce —
-    runs full DES with the exact pre-fidelity cache key.  ``telemetry``
-    (a :class:`~repro.obs.policy.TelemetryPolicy`) likewise defaults to
-    ``None`` — the untelemetered classic run with the legacy key.
-    """
-
-    platform: str
-    model: str
-    controller: str
-    policy: BatchPolicy
-    arrival_kind: str
-    rate_rps: float
-    duration_s: float
-    seed: int
-    config: PlatformConfig
-    fidelity: "object | None" = None
-    telemetry: "object | None" = None
-
-    def arrival_process(self):
-        """Instantiate the cell's arrival process (via the registry)."""
-        return ARRIVALS.get(self.arrival_kind)(self.rate_rps, self.seed)
-
-    def key(self) -> str:
-        """Disk-cache key: the inference cell key + serving extras.
-
-        ``fidelity`` and ``telemetry`` enter the extras only when
-        armed, so classic DES cells keep their legacy keys byte for
-        byte.
-        """
-        extra = {
-            "study": "serving",
-            "version": SERVING_STUDY_VERSION,
-            "policy": asdict(self.policy),
-            "arrival_kind": self.arrival_kind,
-            "rate_rps": self.rate_rps,
-            "duration_s": self.duration_s,
-            "seed": self.seed,
-        }
-        if self.fidelity is not None:
-            extra["fidelity"] = asdict(self.fidelity)
-        if self.telemetry is not None:
-            extra["telemetry"] = asdict(self.telemetry)
-        return cell_key(
-            self.platform, self.model, self.controller, self.config,
-            extra=extra,
-        )
-
-
 def start_telemetry(telemetry, env, scheduler, sim, duration_s: float,
                     driver=None):
     """Build, attach and start one cell's telemetry session.
 
-    Returns ``None`` when the cell carries no policy — the classic
+    Returns ``None`` when the cell carries no policy — the
     untelemetered path.  When armed, the recorder (if tracing) hooks
     into the scheduler, its residency store and the optional lifecycle
     driver, the standard serving gauges are registered, and the sim-time
@@ -209,74 +147,6 @@ def finish_telemetry(session, scheduler, injected: int, completed: int,
     return session.summary(total_requests=injected)
 
 
-def simulate_serving_cell(cell: ServingCell,
-                          record_sink: list | None = None) -> ServingResult:
-    """Worker body: one full request-serving simulation of one cell.
-
-    ``record_sink``, when given, receives every per-request record —
-    the hybrid-fidelity calibration uses this to extract service-time
-    quantiles that the aggregated result does not carry.
-    """
-    platform = build_platform(cell.platform, cell.config, cell.controller)
-    workload = extract_workload(MODELS.get(cell.model)())
-
-    env = Environment()
-    sim = platform.build_simulation(env)
-    mapping = sim.map_workload(workload)
-    trace = ExecutionTrace()
-    scheduler = RequestScheduler(
-        sim, mapping, cell.model, policy=cell.policy,
-        residency=WeightResidency(env), trace=trace,
-    )
-    session = start_telemetry(cell.telemetry, env, scheduler, sim,
-                              cell.duration_s)
-    scheduler.serve(cell.arrival_process(), cell.duration_s,
-                    vectorized=record_sink is not None)
-
-    elapsed = env.now
-    if record_sink is not None:
-        record_sink.extend(scheduler.records)
-    latency, queue_delay, mean_batch = aggregate(scheduler.records)
-    network = sim.fabric.energy_report()
-    trace.record_channel_stats(sim.fabric)
-    telemetry = finish_telemetry(
-        session, scheduler, scheduler.requests_injected,
-        scheduler.requests_completed, scheduler.requests_shed,
-    )
-    return ServingResult(
-        platform=platform.name,
-        model=cell.model,
-        controller=cell.controller,
-        policy=cell.policy.label,
-        arrival_kind=cell.arrival_kind,
-        offered_rps=cell.rate_rps,
-        duration_s=cell.duration_s,
-        elapsed_s=elapsed,
-        requests_injected=scheduler.requests_injected,
-        requests_completed=scheduler.requests_completed,
-        latency=latency,
-        queue_delay=queue_delay,
-        mean_batch_size=mean_batch,
-        mean_inflight=sim.fabric.mean_inflight_requests,
-        mean_compute_utilization=scheduler.compute.mean_utilization(),
-        reconfigurations=sim.reconfigurations,
-        network_energy_j=network.total_energy_j,
-        compute_energy_j=platform.trace_compute_energy_j(trace, elapsed),
-        channel_stats=trace.channel_stats,
-        telemetry=telemetry,
-    )
-
-
-def simulate_serving_cells(cells: Sequence[ServingCell], jobs: int = 1,
-                           cache_dir: str | Path | None = None
-                           ) -> list[ServingResult]:
-    """Run serving cells with the runner's cache + process fan-out."""
-    return run_cached(
-        list(cells), lambda cell: cell.key(), simulate_serving_cell,
-        jobs=jobs, cache_dir=cache_dir,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Spec-driven scenario cells: traffic mixes, SLOs, deadline policies.
 # ---------------------------------------------------------------------------
@@ -336,15 +206,24 @@ def hazard_timeline(faults: "FaultSpec | None") -> HazardTimeline | None:
     return timeline
 
 
-def _drive_mac_degrade(env, compute, event: ChipletMacDegrade):
+def _drive_mac_degrade(env, compute, active: list[float],
+                       event: ChipletMacDegrade):
     """Apply one compute hazard to one occupancy: degrade at ``at_s``,
-    restore after ``duration_s`` (never, when open-ended)."""
+    restore after ``duration_s`` (never, when open-ended).
+
+    ``active`` holds the fractions of the occupancy's events currently
+    in force, and the occupancy runs at their minimum — the rule the
+    fluid model's capacity segments use — so one event ending never
+    lifts a deeper degrade that is still in force.
+    """
     if event.at_s > env.now:
         yield env.timeout(event.at_s - env.now)
-    compute.set_mac_fraction(event.mac_fraction)
+    active.append(event.mac_fraction)
+    compute.set_mac_fraction(min(active))
     if event.duration_s is not None:
         yield env.timeout(event.duration_s)
-        compute.set_mac_fraction(1.0)
+        active.remove(event.mac_fraction)
+        compute.set_mac_fraction(min(active, default=1.0))
 
 
 def start_compute_hazards(env, computes,
@@ -352,8 +231,9 @@ def start_compute_hazards(env, computes,
     """Launch the driver processes applying ``events`` to every
     occupancy in ``computes`` (one per node for fleets)."""
     for compute in computes:
+        active: list[float] = []
         for event in events:
-            env.process(_drive_mac_degrade(env, compute, event))
+            env.process(_drive_mac_degrade(env, compute, active, event))
 
 
 def compute_hazard_records(
@@ -526,8 +406,8 @@ def _mix_stream(models: tuple[tuple[str, float, float | None, int], ...],
                 seed: int) -> Iterator[str] | None:
     """Seeded infinite stream assigning each arrival to a tenant.
 
-    Single-tenant mixes skip the RNG entirely so a one-model scenario
-    replays the exact event sequence of the classic serving cell.
+    Single-tenant mixes skip the RNG entirely: every arrival targets
+    the scheduler's primary model.
     """
     if len(models) == 1:
         return None
@@ -589,10 +469,11 @@ def _sequence_stream(
 
 def simulate_scenario_cell(cell: ScenarioCell,
                            record_sink: list | None = None) -> ServingResult:
-    """Worker body: one full multi-tenant serving simulation.
+    """Worker body: one full serving simulation of one cell.
 
-    ``record_sink`` exposes the per-request records to hybrid-fidelity
-    calibration, same as :func:`simulate_serving_cell`.
+    ``record_sink``, when given, receives every per-request record —
+    the hybrid-fidelity calibration uses this to extract service-time
+    quantiles that the aggregated result does not carry.
     """
     fabric_faults, compute_events = platform_timelines(cell.faults)
     platform = build_platform(
@@ -729,8 +610,8 @@ def simulate_scenario_cell(cell: ScenarioCell,
 
 
 def simulate_any_serving_cell(cell) -> ServingResult:
-    """Dispatch worker shared by mixed classic/scenario/cluster lists."""
-    if getattr(cell, "fidelity", None) is not None:
+    """Dispatch worker shared by mixed scenario/cluster lists."""
+    if cell.fidelity is not None:
         # Deferred: the fidelity engine orchestrates the cell workers
         # below, so importing it eagerly would cycle.
         from .fidelity import simulate_fidelity_cell
@@ -740,59 +621,19 @@ def simulate_any_serving_cell(cell) -> ServingResult:
         return simulate_scenario_cell(cell)
     # Deferred: the cluster study module resolves names against the
     # registries this module's importers construct.
-    from ..cluster.study import ClusterCell, simulate_cluster_cell
+    from ..cluster.study import simulate_cluster_cell
 
-    if isinstance(cell, ClusterCell):
-        return simulate_cluster_cell(cell)
-    return simulate_serving_cell(cell)
+    return simulate_cluster_cell(cell)
 
 
 def simulate_study_cells(cells: Sequence, jobs: int = 1,
                          cache_dir: str | Path | None = None,
                          stats=None) -> list[ServingResult]:
-    """Run a mixed list of classic, scenario and cluster serving cells."""
+    """Run a mixed list of scenario and cluster serving cells."""
     return run_cached(
         list(cells), lambda cell: cell.key(), simulate_any_serving_cell,
         jobs=jobs, cache_dir=cache_dir, stats=stats,
     )
-
-
-def serving_study(
-    model_name: str = "LeNet5",
-    platforms: tuple[str, ...] = ("2.5D-CrossLight-SiPh",),
-    controllers: tuple[str, ...] = ("resipi",),
-    policies: tuple[BatchPolicy, ...] = (BatchPolicy.fifo(),),
-    rates_rps: tuple[float, ...] = DEFAULT_RATES_RPS,
-    arrival_kind: str = "poisson",
-    duration_s: float = DEFAULT_DURATION_S,
-    seed: int = 7,
-    config: PlatformConfig | None = None,
-    jobs: int = 1,
-    cache_dir: str | Path | None = None,
-) -> list[ServingResult]:
-    """The full sweep: rate × policy × controller × platform.
-
-    Controllers only differentiate the photonic platform; electrical
-    and monolithic baselines run once per (rate, policy) under the
-    first controller label to avoid duplicate cells.
-    """
-    config = config or DEFAULT_PLATFORM
-    cells = []
-    for platform in platforms:
-        platform_controllers = (
-            controllers if platform == "2.5D-CrossLight-SiPh"
-            else controllers[:1]
-        )
-        for controller in platform_controllers:
-            for policy in policies:
-                for rate in rates_rps:
-                    cells.append(ServingCell(
-                        platform=platform, model=model_name,
-                        controller=controller, policy=policy,
-                        arrival_kind=arrival_kind, rate_rps=rate,
-                        duration_s=duration_s, seed=seed, config=config,
-                    ))
-    return simulate_serving_cells(cells, jobs=jobs, cache_dir=cache_dir)
 
 
 def latency_throughput_curve(
@@ -807,8 +648,8 @@ def latency_throughput_curve(
 def render_slo_summary(results: Sequence[ServingResult]) -> str:
     """Per-tenant SLO table: one row per (point, model).
 
-    Empty string when no result carries per-model stats (classic
-    latency–throughput sweeps), so callers can append unconditionally.
+    Empty string when no result carries per-model stats, so callers
+    can append unconditionally.
     """
     rows = [
         (result, stats)

@@ -12,14 +12,14 @@ the runner's parallel/cached machinery:
   matrix cells — **the exact cache keys and simulations of the legacy
   paths**, so spec-driven and legacy invocations share warm caches and
   produce bit-identical results;
-* ``serving`` points that a classic :class:`ServingCell` can express
-  lower to one — bit-identical results through the same simulation,
-  with keys shared with legacy invocations at the current
-  ``SERVING_STUDY_VERSION``;
-* everything else — traffic mixes, SLOs, deadline policies, residency
-  budgets, tuned arrival knobs — lowers to a
+* ``serving`` points on one node — a single model or a traffic mix,
+  any policy, SLOs, residency budgets, arrival knobs, hazards and the
+  lifecycle/fidelity/telemetry policies — lower to a
   :class:`~repro.experiments.serving_study.ScenarioCell` keyed by the
-  point's spec digest via ``cell_key(..., extra=...)``.
+  point's spec digest via ``cell_key(..., extra=...)``;
+* ``serving`` points with a real fleet (more than one replica, node
+  hazards or per-node overrides) lower to a
+  :class:`~repro.cluster.study.ClusterCell`.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ from ..experiments.runner import (
 )
 from ..experiments.serving_study import (
     ScenarioCell,
-    ServingCell,
     hazard_timeline,
     platform_timelines,
     render_fault_windows,
@@ -69,7 +68,7 @@ from .registry import (
     PLATFORMS,
     ROUTERS,
 )
-from .spec import FaultSpec, SchedulerSpec, StudySpec, WorkloadSpec
+from .spec import FaultSpec, SchedulerSpec, StudySpec
 
 SIPH_PLATFORM = "2.5D-CrossLight-SiPh"
 """The one platform whose fabric takes a reconfiguration controller."""
@@ -136,7 +135,7 @@ def build_resilience(spec: StudySpec) -> ResiliencePolicy | None:
     """The point's request-lifecycle policy; ``None`` when degenerate.
 
     A spec with no timeout, no retries and no hedging lowers to the
-    classic submit-once path — the cell carries no policy, keeps its
+    submit-once path — the cell carries no policy, keeps its
     pre-resilience cache key and simulates bit-identically.
     """
     section = spec.resilience
@@ -155,7 +154,7 @@ def build_fidelity(spec: StudySpec):
     """The point's hybrid-fidelity policy; ``None`` when degenerate.
 
     A ``fidelity`` section in ``des`` mode (the default) lowers to the
-    classic full-DES path — the cell carries no policy, keeps its
+    full-DES path — the cell carries no policy, keeps its
     pre-fidelity cache key and simulates bit-identically.  The armed
     modes compile to a picklable
     :class:`~repro.experiments.fidelity.FidelityPolicy` the cell
@@ -179,7 +178,7 @@ def build_telemetry(spec: StudySpec):
     """The point's telemetry policy; ``None`` when degenerate.
 
     The default (empty) telemetry section lowers to the untelemetered
-    classic path — the cell carries no policy, keeps its pre-telemetry
+    path — the cell carries no policy, keeps its pre-telemetry
     cache key and simulates bit-identically.  An armed section compiles
     to a picklable :class:`~repro.obs.policy.TelemetryPolicy` the cell
     workers build a recording session from.
@@ -338,8 +337,8 @@ def expand_points(spec: StudySpec) -> list[StudySpec]:
 
     Controllers only differentiate the photonic platform: grid points
     on other platforms collapse onto the controller axis's first value
-    and deduplicate, exactly like the legacy serving study avoided
-    duplicate baseline cells.
+    and deduplicate, so baseline platforms never simulate duplicate
+    cells.
     """
     points = spec.expand()
     controller_axis = next(
@@ -363,59 +362,13 @@ def expand_points(spec: StudySpec) -> list[StudySpec]:
     return pinned
 
 
-def _workload_defaults() -> dict[str, float]:
-    return {
-        name: WorkloadSpec.__dataclass_fields__[name].default
-        for name in ("burstiness", "dwell_s", "think_time_s")
-    }
-
-
-def is_degenerate_resilience(point: StudySpec) -> bool:
-    """Whether the point's resilience section is the no-op identity.
-
-    The default section (no timeouts, no retries, no hedging,
-    omniscient signals) adds nothing to the simulation; the compiler
-    then lowers onto the pre-resilience cell shapes so cache keys and
-    results match the legacy paths exactly.
-    """
-    return not point.resilience
-
-
-def is_classic_serving(point: StudySpec) -> bool:
-    """Whether a classic :class:`ServingCell` expresses this point.
-
-    Classic cells keep legacy cache keys and bit-identical legacy
-    results, so the compiler prefers them whenever the point uses none
-    of the scenario-only features.
-    """
-    workload, scheduler = point.workload, point.scheduler
-    defaults = _workload_defaults()
-    return (
-        len(workload.models) == 1
-        and workload.models[0].fraction == 1.0
-        and workload.models[0].slo_s is None
-        and workload.models[0].priority == 0
-        and not workload.has_sequences
-        and not workload.has_quotas
-        and scheduler.policy in ("fifo", "max-batch")
-        and scheduler.starvation_age_s is None
-        and not scheduler.shed_expired
-        and point.residency_capacity_bits is None
-        and not point.platform.faults.events
-        and workload.burstiness == defaults["burstiness"]
-        and workload.dwell_s == defaults["dwell_s"]
-        and workload.think_time_s == defaults["think_time_s"]
-        and is_degenerate_resilience(point)
-    )
-
-
 def is_degenerate_cluster(point: StudySpec) -> bool:
     """Whether the point's cluster section is the single-node identity.
 
     A 1-replica cluster with no node-level hazards and no per-node
     overrides routes every request to its only node — the simulation
     is exactly the single-node serving path, so the compiler strips the
-    section and lowers onto the existing cells (legacy cache keys,
+    section and lowers onto the single-node cell (same cache key,
     bit-identical results).  The router name cannot matter with one
     node; it is still validated.
     """
@@ -474,8 +427,8 @@ def lower_cluster_point(point: StudySpec,
 
 def lower_serving_point(point: StudySpec,
                         config: PlatformConfig
-                        ) -> "ServingCell | ScenarioCell | ClusterCell":
-    """One resolved serving point to its cheapest cell shape."""
+                        ) -> "ScenarioCell | ClusterCell":
+    """One resolved serving point to its fleet or single-node cell."""
     if not is_degenerate_cluster(point):
         return lower_cluster_point(point, config)
     if point.cluster is not None:
@@ -483,21 +436,6 @@ def lower_serving_point(point: StudySpec,
         # and simulates exactly like the single-node serving path.
         point = replace(point, cluster=None)
     workload = point.workload
-    policy = build_policy(point.scheduler)
-    if is_classic_serving(point):
-        return ServingCell(
-            platform=point.platform.name,
-            model=workload.models[0].model,
-            controller=point.platform.controller,
-            policy=policy,
-            arrival_kind=workload.arrival,
-            rate_rps=workload.rate_rps,
-            duration_s=workload.duration_s,
-            seed=workload.seed,
-            config=config,
-            fidelity=build_fidelity(point),
-            telemetry=build_telemetry(point),
-        )
     return ScenarioCell(
         platform=point.platform.name,
         models=tuple(
@@ -505,7 +443,7 @@ def lower_serving_point(point: StudySpec,
             for entry in workload.models
         ),
         controller=point.platform.controller,
-        policy=policy,
+        policy=build_policy(point.scheduler),
         arrival_kind=workload.arrival,
         rate_rps=workload.rate_rps,
         duration_s=workload.duration_s,
@@ -726,9 +664,9 @@ def render_dry_run(spec: StudySpec,
     everything ``run_study`` would do short of simulating.
 
     Cheap spec debugging: verifies names resolve, shows how each point
-    lowers (classic vs scenario cells share or fork cache keys here)
-    and prints the exact on-disk keys a ``--cache-dir`` run would use.
-    With ``cache_dir``, each cell is annotated ``cached``/``cold``
+    lowers (which cell kind, and which points share or fork cache
+    keys) and prints the exact on-disk keys a ``--cache-dir`` run would
+    use.  With ``cache_dir``, each cell is annotated ``cached``/``cold``
     against the store's current contents and the header counts how many
     cells a real run would actually simulate.
     """

@@ -1102,15 +1102,15 @@ class StudySpec:
     ``residency_capacity_bits`` bounds the (per-node) weight store of
     serving runs (LRU eviction between tenants).  ``cluster`` scales a
     serving study out to a routed fleet of platform replicas
-    (``None`` = the classic single-node path).  ``resilience`` adds the
+    (``None`` = the single-node path).  ``resilience`` adds the
     request lifecycle (timeouts / retries / hedging) and the modeled
     router signal path; its default instance is degenerate and lowers
-    to the classic cells.  ``fidelity`` selects the simulation engine
-    per cell (full DES, fluid fast path, or fluid with auto-fallback
-    when the calibration error exceeds budget); its default instance
-    is likewise degenerate.  ``telemetry`` arms span tracing and
-    sampled gauge metrics over each serving cell (degenerate by
-    default: nothing recorded, classic cells and cache keys).
+    to a cell without a lifecycle policy.  ``fidelity`` selects the
+    simulation engine per cell (full DES, fluid fast path, or fluid
+    with auto-fallback when the calibration error exceeds budget); its
+    default instance is likewise degenerate.  ``telemetry`` arms span
+    tracing and sampled gauge metrics over each serving cell
+    (degenerate by default: nothing recorded, cache keys unchanged).
     """
 
     name: str

@@ -29,7 +29,7 @@ from repro.experiments.export import (
     cluster_results_to_json,
     study_results_to_json,
 )
-from repro.experiments.serving_study import ServingCell, hazard_timeline
+from repro.experiments.serving_study import ScenarioCell, hazard_timeline
 from repro.mapping.residency import WeightResidency
 from repro.serving.metrics import ClusterResult, LatencyProfile, NodeStats
 from repro.serving.scheduler import BatchPolicy, RequestScheduler
@@ -468,8 +468,8 @@ class TestClusterSpec:
         ))
         cell_plain = lower_serving_point(plain, resolve_config(plain))
         cell_one = lower_serving_point(one, resolve_config(one))
-        assert isinstance(cell_plain, ServingCell)
-        assert isinstance(cell_one, ServingCell)
+        assert isinstance(cell_plain, ScenarioCell)
+        assert isinstance(cell_one, ScenarioCell)
         assert cell_plain.key() == cell_one.key()
 
     def test_one_replica_cluster_matches_single_node_bit_identical(self):

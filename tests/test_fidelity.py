@@ -1,5 +1,5 @@
 """Hybrid-fidelity engine: fluid fast path, calibration, warm-state
-fork, vectorized injection, spec lowering, cache counters and export."""
+fork, arrival cohorts, spec lowering, cache counters and export."""
 
 from dataclasses import fields, replace
 
@@ -15,8 +15,6 @@ from repro.core.analytic import (
     fluid_queue_delays,
     mgk_queue_delay,
 )
-from repro.core.accelerator import MonolithicCrossLight
-from repro.core.engine import ExecutionTrace
 from repro.dnn import zoo
 from repro.dnn.workload import extract_workload
 from repro.errors import ConfigurationError, SpecError
@@ -34,14 +32,10 @@ from repro.experiments.fidelity import (
 from repro.experiments.runner import CacheStats, ResultCache, run_cached
 from repro.experiments.serving_study import (
     ScenarioCell,
-    ServingCell,
     simulate_scenario_cell,
-    simulate_serving_cell,
 )
-from repro.mapping.residency import WeightResidency
-from repro.serving.scheduler import BatchPolicy, RequestScheduler
-from repro.sim.core import Environment
-from repro.sim.traffic import MMPPArrivals, PoissonArrivals
+from repro.serving.scheduler import BatchPolicy
+from repro.sim.traffic import PoissonArrivals
 from repro.studies import (
     FaultEventSpec,
     FaultSpec,
@@ -95,15 +89,17 @@ def fluid_spec(mode="auto", error_budget=0.25, calibration_s=None,
     return StudySpec(**kwargs)
 
 
-def classic_cell(**overrides) -> ServingCell:
+def lenet_cell(**overrides) -> ScenarioCell:
+    """Single-tenant LeNet5 on SiPh/ReSiPI, no scenario features."""
     kwargs = dict(
-        platform="2.5D-CrossLight-SiPh", model="LeNet5",
+        platform="2.5D-CrossLight-SiPh",
+        models=(("LeNet5", 1.0, None, 0),),
         controller="resipi", policy=BatchPolicy.fifo(),
         arrival_kind="poisson", rate_rps=60e3, duration_s=1.5e-3,
         seed=7, config=DEFAULT_PLATFORM,
     )
     kwargs.update(overrides)
-    return ServingCell(**kwargs)
+    return ScenarioCell(**kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -196,8 +192,12 @@ class TestFidelitySpec:
         assert des_cell.fidelity is None
         assert fluid_cell.fidelity is not None
         assert des_cell.key() != fluid_cell.key()
-        legacy = replace(fluid_cell, fidelity=None)
-        assert legacy.key() == des_cell.key()
+        # The policy and the spec digest (which covers the fidelity
+        # section) are the only fields the armed mode moves.
+        disarmed = replace(fluid_cell, fidelity=None,
+                           digest=des_cell.digest)
+        assert disarmed == des_cell
+        assert disarmed.key() == des_cell.key()
 
 
 # ---------------------------------------------------------------------------
@@ -313,40 +313,11 @@ class TestAnalyticMacDegrade:
 
 
 # ---------------------------------------------------------------------------
-# Vectorized injection: bulk-scheduled cohorts == event-driven injector.
+# Arrival cohorts: the fluid path's batched times == the DES gap stream.
 # ---------------------------------------------------------------------------
 
 
 class TestVectorizedInjection:
-    def _serve(self, arrivals, vectorized):
-        platform = MonolithicCrossLight()
-        env = Environment()
-        sim = platform.build_simulation(env)
-        scheduler = RequestScheduler(
-            sim, sim.map_workload(WORKLOAD), "LeNet5",
-            policy=BatchPolicy.fifo(), residency=WeightResidency(env),
-            trace=ExecutionTrace(),
-        )
-        scheduler.serve(arrivals, 1e-3, vectorized=vectorized)
-        return scheduler.records, env.now
-
-    @pytest.mark.parametrize("arrivals_factory", [
-        lambda: PoissonArrivals(rate_rps=80e3, seed=11),
-        lambda: MMPPArrivals(rate_rps=80e3, seed=11),
-    ])
-    def test_cohort_injection_replays_event_driven_run(
-        self, arrivals_factory
-    ):
-        records, elapsed = self._serve(arrivals_factory(), False)
-        cohort, cohort_elapsed = self._serve(arrivals_factory(), True)
-        # Every request record — arrival, dispatch, batch, finish — is
-        # bit-identical; only the final clock differs (the event-driven
-        # injector overshoots the horizon by the one gap it draws past
-        # the end, the cohort stops exactly at it).
-        assert cohort == records
-        assert abs(cohort_elapsed - elapsed) < 2e-4
-        assert len(records) > 10
-
     def test_arrival_times_match_gap_stream(self):
         arrivals = PoissonArrivals(rate_rps=80e3, seed=3)
         times = arrivals.arrival_times(1e-3)
@@ -358,14 +329,6 @@ class TestVectorizedInjection:
             expected.append(now)
         assert times == pytest.approx(expected)
 
-    def test_schedule_calls_rejects_past_times(self):
-        env = Environment()
-        env._now = 1.0
-        from repro.errors import SimulationError
-
-        with pytest.raises(SimulationError):
-            env.schedule_calls([0.5], lambda at: None)
-
 
 # ---------------------------------------------------------------------------
 # The fluid fast path end to end.
@@ -374,8 +337,8 @@ class TestVectorizedInjection:
 
 class TestFluidPath:
     def test_fluid_agrees_with_des_within_budget(self):
-        des = simulate_serving_cell(classic_cell())
-        fluid = simulate_fidelity_cell(classic_cell(
+        des = simulate_scenario_cell(lenet_cell())
+        fluid = simulate_fidelity_cell(lenet_cell(
             fidelity=FidelityPolicy(mode="auto", error_budget=0.25),
         ))
         report = fluid.fidelity
@@ -397,7 +360,7 @@ class TestFluidPath:
 
     @pytest.mark.parametrize("rate_rps", [30e3, 60e3, 120e3])
     def test_error_budget_holds_across_rates(self, rate_rps):
-        fluid = simulate_fidelity_cell(classic_cell(
+        fluid = simulate_fidelity_cell(lenet_cell(
             rate_rps=rate_rps,
             fidelity=FidelityPolicy(mode="fluid", error_budget=0.25),
         ))
@@ -405,8 +368,8 @@ class TestFluidPath:
         assert fluid.fidelity.within_budget
 
     def test_auto_mode_falls_back_beyond_budget(self):
-        des = simulate_serving_cell(classic_cell())
-        fluid = simulate_fidelity_cell(classic_cell(
+        des = simulate_scenario_cell(lenet_cell())
+        fluid = simulate_fidelity_cell(lenet_cell(
             fidelity=FidelityPolicy(mode="auto", error_budget=1e-9),
         ))
         report = fluid.fidelity
@@ -415,7 +378,7 @@ class TestFluidPath:
         assert replace(fluid, fidelity=None) == des
 
     def test_fluid_mode_never_falls_back(self):
-        fluid = simulate_fidelity_cell(classic_cell(
+        fluid = simulate_fidelity_cell(lenet_cell(
             fidelity=FidelityPolicy(mode="fluid", error_budget=1e-9),
         ))
         assert fluid.fidelity.mode_used == "fluid"
@@ -423,11 +386,11 @@ class TestFluidPath:
 
     def test_warm_state_fork_shares_calibration(self):
         policy = FidelityPolicy(mode="fluid", error_budget=0.25)
-        first = simulate_fidelity_cell(classic_cell(fidelity=policy))
+        first = simulate_fidelity_cell(lenet_cell(fidelity=policy))
         assert not first.fidelity.warm_forked
         assert warm_store_size() == 1
         # A longer window of the same point forks from the checkpoint.
-        second = simulate_fidelity_cell(classic_cell(
+        second = simulate_fidelity_cell(lenet_cell(
             duration_s=3e-3, fidelity=policy,
         ))
         assert second.fidelity.warm_forked
@@ -569,7 +532,7 @@ class TestSequenceFluidPath:
         assert fluid.fidelity.within_budget
 
     def test_single_step_cells_skip_sequence_errors(self):
-        fluid = simulate_fidelity_cell(classic_cell(
+        fluid = simulate_fidelity_cell(lenet_cell(
             fidelity=FidelityPolicy(mode="fluid", error_budget=0.25),
         ))
         assert fluid.fidelity.ttft_rel_err is None
@@ -633,12 +596,12 @@ class TestStudyIntegration:
         assert "fidelity_mode" in header
         assert "fidelity_p99_err" in header
         assert result.fidelity.mode_used in row
-        # Classic results export blank fidelity columns.
-        des = simulate_serving_cell(classic_cell())
-        classic_record = serving_result_to_dict(des)
-        assert classic_record["fidelity"] is None
-        classic_row = serving_results_to_csv([des]).strip().splitlines()[1]
-        assert classic_row.endswith(",,")
+        # Full-DES results export blank fidelity columns.
+        des = simulate_scenario_cell(lenet_cell())
+        des_record = serving_result_to_dict(des)
+        assert des_record["fidelity"] is None
+        des_row = serving_results_to_csv([des]).strip().splitlines()[1]
+        assert des_row.endswith(",,")
 
     def test_fidelity_json_round_trip_runs(self, tmp_path):
         spec = fluid_spec(mode="auto")
@@ -655,15 +618,15 @@ class TestStudyIntegration:
 
 class TestCacheCounters:
     def test_run_cached_tallies_hits_misses(self, tmp_path):
-        cells = [classic_cell(), classic_cell(rate_rps=80e3)]
+        cells = [lenet_cell(), lenet_cell(rate_rps=80e3)]
         cold = CacheStats()
-        run_cached(cells, lambda c: c.key(), simulate_serving_cell,
+        run_cached(cells, lambda c: c.key(), simulate_scenario_cell,
                    cache_dir=tmp_path, stats=cold)
         assert cold.hits == 0
         assert cold.misses == 2
         assert cold.simulated == 2
         warm = CacheStats()
-        run_cached(cells, lambda c: c.key(), simulate_serving_cell,
+        run_cached(cells, lambda c: c.key(), simulate_scenario_cell,
                    cache_dir=tmp_path, stats=warm)
         assert warm.hits == 2
         assert warm.misses == 0
@@ -671,11 +634,11 @@ class TestCacheCounters:
         assert "2 hits" in warm.summary()
 
     def test_corrupt_entries_count_as_evictions(self, tmp_path):
-        cell = classic_cell()
+        cell = lenet_cell()
         cache = ResultCache(tmp_path)
         cache._path(cell.key()).write_bytes(b"garbage")
         stats = CacheStats()
-        run_cached([cell], lambda c: c.key(), simulate_serving_cell,
+        run_cached([cell], lambda c: c.key(), simulate_scenario_cell,
                    cache_dir=tmp_path, stats=stats)
         assert stats.evictions == 1
         assert stats.misses == 1
@@ -684,8 +647,8 @@ class TestCacheCounters:
 
     def test_no_cache_dir_counts_simulated_only(self):
         stats = CacheStats()
-        run_cached([classic_cell()], lambda c: c.key(),
-                   simulate_serving_cell, stats=stats)
+        run_cached([lenet_cell()], lambda c: c.key(),
+                   simulate_scenario_cell, stats=stats)
         assert stats.simulated == 1
         assert stats.hits == 0 and stats.misses == 0
 

@@ -14,6 +14,11 @@ Simulated durations and fault times are scaled down together (the
 energy is compared to 1e-12 relative rather than exactly: skipping a
 same-value ``TimeWeightedValue.set`` only regroups the float sums of
 the power integrals.
+
+The ``classic`` pin is the plainest single-node point (one model,
+default workload knobs, no faults, full DES).  It was computed when
+such points still had a cell kind of their own, and must hold on the
+shared single-node serving path.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.experiments.fidelity import clear_warm_store
 from repro.experiments.serving_study import simulate_any_serving_cell
 from repro.serving.scheduler import RequestScheduler
 from repro.studies import StudySpec, lower_study
@@ -80,6 +86,22 @@ def controller_cell(controller: str) -> dict:
     }
 
 
+def classic_cell() -> dict:
+    """Single-tenant LeNet5 under max-batch on SiPh/ReSiPI, DES only."""
+    return {
+        "schema": 7,
+        "name": "golden-classic",
+        "kind": "serving",
+        "workload": {
+            "models": [{"model": "LeNet5", "fraction": 1.0}],
+            "rate_rps": 50e3,
+            "duration_s": 1e-3,
+        },
+        "platform": {"name": "2.5D-CrossLight-SiPh", "controller": "resipi"},
+        "scheduler": {"policy": "max-batch", "max_batch": 4},
+    }
+
+
 GOLDEN = {
     # name: (records, sha256 of their reprs, network energy per cell)
     "fault_serving": (
@@ -110,9 +132,9 @@ GOLDEN = {
         [0.01996323482461983],
     ),
     "fidelity": (
-        66,
-        "3e403c0225ada4e610dc279d49e152134dd761a1eec974c1f878e1cc4bde9021",
-        [0.0247398837422764, 0.02581569551179378, 0.02581569551179378],
+        33,
+        "957a41285b9be286e52fe460a8a0442f9bc7fc11ee8d28cca2045fd3afb8dc5f",
+        [0.02581569551179378] * 3,
     ),
     "transformer_fluid": (
         99,
@@ -128,6 +150,11 @@ GOLDEN = {
         103,
         "d1cd048182f1a3fdaa7f44801661e5a89b3e362117159d29cf9b01d80f0ad56d",
         [0.1304125831684887],
+    ),
+    "classic": (
+        53,
+        "c0a2a2a3db4891e9288d8f7bd2e7f407684a50d83bd60c2438d17b911d3997b6",
+        [0.018524230776339724],
     ),
 }
 
@@ -150,6 +177,8 @@ def study_data(name: str) -> dict:
     if name in SCALES:
         data = json.loads((EXAMPLES / f"{name}_spec.json").read_text())
         return scaled(data, SCALES[name])
+    if name == "classic":
+        return classic_cell()
     return controller_cell(name)
 
 
@@ -163,6 +192,8 @@ def record_digest(data: dict, monkeypatch) -> tuple[int, str, list]:
         built.append(self)
 
     monkeypatch.setattr(RequestScheduler, "__init__", init)
+    # Calibration runs count only when cold: no checkpoint may leak in.
+    clear_warm_store()
     _, cells = lower_study(StudySpec.from_dict(data))
     digest = hashlib.sha256()
     count = 0
@@ -197,4 +228,4 @@ def test_every_photonic_example_is_pinned():
         == "2.5D-CrossLight-SiPh"
     }
     assert photonic == set(SCALES)
-    assert set(GOLDEN) == set(SCALES) | {"prowaves", "static"}
+    assert set(GOLDEN) == set(SCALES) | {"prowaves", "static", "classic"}

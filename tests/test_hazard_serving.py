@@ -21,6 +21,7 @@ from repro.interposer.photonic.faults import (
     LaserDegradation,
     RingDriftBurst,
 )
+from repro.experiments.serving_study import ScenarioCell
 from repro.interposer.topology import build_floorplan
 from repro.mapping.mapper import KernelMatchMapper
 from repro.serving.metrics import RequestRecord, windowed_stats
@@ -38,7 +39,6 @@ from repro.studies import (
     WorkloadSpec,
 )
 from repro.studies.compile import (
-    is_classic_serving,
     lower_serving_point,
     render_dry_run,
     resolve_config,
@@ -390,7 +390,9 @@ class TestSpecIntegration:
                                        memory_gateways=1),),
             )),
         )
-        assert not is_classic_serving(single)
+        cell = lower_serving_point(single, resolve_config(single))
+        assert isinstance(cell, ScenarioCell)
+        assert cell.faults == single.platform.faults
 
     def test_faults_rejected_off_siph(self):
         spec = fault_spec(

@@ -3,7 +3,7 @@ spec validation, degenerate lowering, determinism and export."""
 
 import json
 import pickle
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 
@@ -11,7 +11,7 @@ from repro.cluster.hazards import RackFail, RackRepair, event_nodes
 from repro.cluster.router import ClusterNode, ClusterRouter, HealthPolicy
 from repro.cluster.study import ClusterCell
 from repro.core.accelerator import MonolithicCrossLight
-from repro.core.engine import ExecutionTrace
+from repro.core.engine import ComputeOccupancy, ExecutionTrace
 from repro.dnn import zoo
 from repro.dnn.workload import extract_workload
 from repro.errors import ConfigurationError, SpecError
@@ -22,10 +22,12 @@ from repro.experiments.export import (
     study_results_to_csv,
     study_results_to_json,
 )
+from repro.experiments.fidelity import _mac_segments
 from repro.experiments.serving_study import (
     ScenarioCell,
     hazard_timeline,
     platform_timelines,
+    start_compute_hazards,
 )
 from repro.mapping.residency import WeightResidency
 from repro.serving.lifecycle import LifecycleDriver, ResiliencePolicy
@@ -52,8 +54,6 @@ from repro.studies.compile import (
     build_health,
     build_resilience,
     expand_points,
-    is_classic_serving,
-    is_degenerate_resilience,
     lower_cluster_point,
     lower_serving_point,
     resolve_config,
@@ -271,13 +271,12 @@ class TestDegenerateLowering:
             platform=PlatformSpec(name="CrossLight"),
             scheduler=SchedulerSpec(policy="fifo"),
         )
-        with_default = base  # resilience defaults to ResilienceSpec()
-        assert is_degenerate_resilience(with_default)
-        assert is_classic_serving(with_default)
-        legacy = lower_serving_point(base, resolve_config(base))
-        lowered = lower_serving_point(with_default, resolve_config(with_default))
-        assert type(lowered) is type(legacy)
-        assert lowered.key() == legacy.key()
+        explicit = replace(base, resilience=ResilienceSpec())
+        plain = lower_serving_point(base, resolve_config(base))
+        lowered = lower_serving_point(explicit, resolve_config(explicit))
+        assert isinstance(lowered, ScenarioCell)
+        assert lowered.resilience is None
+        assert lowered.key() == plain.key()
 
     def test_degenerate_cluster_keeps_legacy_cache_key(self):
         base = resilient_spec(ResilienceSpec(), events=())
@@ -549,6 +548,43 @@ class TestMacDegradeHazard:
         ),))
         assert degraded.latency.mean_s > healthy.latency.mean_s
         assert degraded.time_degraded_s == pytest.approx(200e-6)
+
+    @pytest.mark.parametrize("spans", [
+        # Overlapping: the shallow degrade ends while the deep one holds.
+        ((0.5e-3, 0.5, 0.5e-3), (0.7e-3, 0.25, 0.6e-3)),
+        # Nested: a short deep degrade inside a long shallow one.
+        ((0.2e-3, 0.5, 1.0e-3), (0.5e-3, 0.25, 0.2e-3)),
+    ], ids=["overlapping", "nested"])
+    def test_concurrent_degrades_match_fluid_segments(self, spans):
+        """DES runs at the minimum fraction of the events in force,
+        exactly like the fluid model's capacity segments."""
+        events = tuple(
+            HAZARDS.get("chiplet-mac-degrade")(
+                at_s=at_s, mac_fraction=fraction, duration_s=duration_s,
+            )
+            for at_s, fraction, duration_s in spans
+        )
+        duration = 2e-3
+        segments = _mac_segments(events, duration)
+        assert min(fraction for _, _, fraction in segments) == 0.25
+        env = Environment()
+        compute = ComputeOccupancy(env)
+        start_compute_hazards(env, (compute,), events)
+        samples = [(index + 0.5) * 25e-6 for index in range(80)]
+        observed = []
+
+        def sampler():
+            for at_s in samples:
+                yield env.timeout(at_s - env.now)
+                observed.append(compute.mac_fraction)
+
+        env.process(sampler())
+        env.run()
+        expected = [
+            next(f for start, end, f in segments if start <= at_s < end)
+            for at_s in samples
+        ]
+        assert observed == expected
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Request-serving layer: scheduler, metrics, residency, load curves."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -16,11 +17,10 @@ from repro.experiments.export import (
     serving_results_to_json,
 )
 from repro.experiments.serving_study import (
-    ServingCell,
+    ScenarioCell,
     latency_throughput_curve,
     render_serving_study,
-    serving_study,
-    simulate_serving_cell,
+    simulate_scenario_cell,
 )
 from repro.mapping.residency import WeightResidency
 from repro.serving.metrics import (
@@ -36,8 +36,21 @@ from repro.sim.traffic import (
     MMPPArrivals,
     PoissonArrivals,
 )
+from repro.studies.builders import serve_study_spec
+from repro.studies.compile import run_study
+from repro.studies.spec import SchedulerSpec
 
 WORKLOAD = extract_workload(zoo.build("LeNet5"))
+
+
+def lenet_sweep(rates_rps, duration_s, cache_dir=None):
+    """A LeNet5 rate sweep on monolithic CrossLight, through the spec
+    path (the ``repro serve-study`` builder)."""
+    spec = serve_study_spec(
+        "LeNet5", ("CrossLight",), ("resipi",), SchedulerSpec(),
+        rates_rps, duration_s=duration_s,
+    )
+    return run_study(spec, cache_dir=cache_dir).serving_results()
 
 
 def make_scheduler(platform=None, policy=None, **kwargs):
@@ -416,11 +429,7 @@ class TestServingStudy:
     def test_p99_monotone_and_curve_export(self, tmp_path):
         """Acceptance: Poisson at two rates -> non-decreasing p99, and
         the latency-throughput curve survives the JSON export layer."""
-        results = serving_study(
-            model_name="LeNet5", platforms=("CrossLight",),
-            rates_rps=(100e3, 700e3), duration_s=2e-3,
-            cache_dir=tmp_path / "cache",
-        )
+        results = lenet_sweep((100e3, 700e3), 2e-3, tmp_path / "cache")
         curve = latency_throughput_curve(results)
         assert len(curve) == 2
         (rate_lo, good_lo, p99_lo), (rate_hi, good_hi, p99_hi) = curve
@@ -434,53 +443,43 @@ class TestServingStudy:
 
     def test_study_is_cacheable_and_deterministic(self, tmp_path):
         cache_dir = tmp_path / "cache"
-        kwargs = dict(
-            model_name="LeNet5", platforms=("CrossLight",),
-            rates_rps=(150e3,), duration_s=0.5e-3, cache_dir=cache_dir,
-        )
-        cold = serving_study(**kwargs)
-        warm = serving_study(**kwargs)
+        cold = lenet_sweep((150e3,), 0.5e-3, cache_dir)
+        warm = lenet_sweep((150e3,), 0.5e-3, cache_dir)
         assert cold == warm
-        fresh = serving_study(
-            model_name="LeNet5", platforms=("CrossLight",),
-            rates_rps=(150e3,), duration_s=0.5e-3,
-        )
+        fresh = lenet_sweep((150e3,), 0.5e-3)
         assert fresh == cold
 
     def test_cells_do_not_collide_across_parameters(self):
-        base = ServingCell(
-            platform="CrossLight", model="LeNet5", controller="resipi",
-            policy=BatchPolicy.fifo(), arrival_kind="poisson",
-            rate_rps=1e5, duration_s=1e-3, seed=7,
-            config=DEFAULT_PLATFORM,
+        base = ScenarioCell(
+            platform="CrossLight", models=(("LeNet5", 1.0, None, 0),),
+            controller="resipi", policy=BatchPolicy.fifo(),
+            arrival_kind="poisson", rate_rps=1e5, duration_s=1e-3,
+            seed=7, config=DEFAULT_PLATFORM,
         )
         variants = [
-            ServingCell(**{**base.__dict__, "rate_rps": 2e5}),
-            ServingCell(**{**base.__dict__, "arrival_kind": "mmpp"}),
-            ServingCell(**{**base.__dict__, "seed": 8}),
-            ServingCell(**{**base.__dict__,
-                           "policy": BatchPolicy.max_batch_with_timeout()}),
+            replace(base, rate_rps=2e5),
+            replace(base, arrival_kind="mmpp"),
+            replace(base, seed=8),
+            replace(base, policy=BatchPolicy.max_batch_with_timeout()),
         ]
         keys = {base.key()} | {cell.key() for cell in variants}
         assert len(keys) == 5
 
     def test_mmpp_study_runs(self):
-        cell = ServingCell(
-            platform="CrossLight", model="LeNet5", controller="resipi",
+        cell = ScenarioCell(
+            platform="CrossLight", models=(("LeNet5", 1.0, None, 0),),
+            controller="resipi",
             policy=BatchPolicy.max_batch_with_timeout(max_batch=4),
             arrival_kind="mmpp", rate_rps=2e5, duration_s=0.5e-3,
             seed=3, config=DEFAULT_PLATFORM,
         )
-        result = simulate_serving_cell(cell)
+        result = simulate_scenario_cell(cell)
         assert result.requests_completed == result.requests_injected
         assert result.arrival_kind == "mmpp"
         assert result.total_energy_j > 0.0
 
     def test_render_and_csv(self):
-        results = serving_study(
-            model_name="LeNet5", platforms=("CrossLight",),
-            rates_rps=(100e3,), duration_s=0.3e-3,
-        )
+        results = lenet_sweep((100e3,), 0.3e-3)
         text = render_serving_study(results)
         assert "goodput/s" in text
         assert "CrossLight" in text

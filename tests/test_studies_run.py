@@ -12,9 +12,7 @@ from repro.dnn.workload import extract_workload
 from repro.errors import ConfigurationError, UnknownNameError
 from repro.experiments.serving_study import (
     ScenarioCell,
-    ServingCell,
     render_slo_summary,
-    serving_study,
     simulate_scenario_cell,
 )
 from repro.serving.scheduler import (
@@ -40,7 +38,6 @@ from repro.studies.builders import (
 )
 from repro.studies.compile import (
     expand_points,
-    is_classic_serving,
     lower_serving_point,
     render_study,
     resolve_config,
@@ -86,22 +83,9 @@ def mix_spec(policy="edf", rate_rps=60e3, shed=False,
 
 
 class TestLowering:
-    def test_classic_point_lowers_to_serving_cell(self):
-        point = classic_spec()
-        assert is_classic_serving(point)
-        cell = lower_serving_point(point, resolve_config(point))
-        assert isinstance(cell, ServingCell)
-        # Same cache identity as a directly-built classic cell.
-        legacy = ServingCell(
-            platform="CrossLight", model="LeNet5", controller="resipi",
-            policy=BatchPolicy.fifo(), arrival_kind="poisson",
-            rate_rps=150e3, duration_s=0.5e-3, seed=7,
-            config=DEFAULT_PLATFORM,
-        )
-        assert cell.key() == legacy.key()
-
     def test_scenario_features_lower_to_scenario_cell(self):
         for point in (
+            classic_spec(),  # one model, no scenario features at all
             mix_spec(),  # multi-tenant
             classic_spec(scheduler=SchedulerSpec(policy="edf")),
             classic_spec(scheduler=SchedulerSpec(policy="fifo",
@@ -223,19 +207,6 @@ class TestLowering:
 
 
 class TestClassicEquivalence:
-    def test_spec_path_matches_legacy_serving_study(self, tmp_path):
-        spec = serve_study_spec(
-            "LeNet5", ("CrossLight",), ("resipi",), SchedulerSpec(),
-            (100e3, 250e3), duration_s=0.5e-3,
-        )
-        study = run_study(spec, cache_dir=tmp_path / "a")
-        legacy = serving_study(
-            model_name="LeNet5", platforms=("CrossLight",),
-            rates_rps=(100e3, 250e3), duration_s=0.5e-3,
-            cache_dir=tmp_path / "b",
-        )
-        assert study.serving_results() == legacy
-
     def test_inference_spec_matches_run_model(self):
         spec = run_spec("LeNet5", "CrossLight", batch_size=2)
         result = run_study(spec).points[0].results[0]

@@ -34,12 +34,11 @@ from repro.experiments.export import (
     serving_results_to_csv,
     serving_results_to_json,
 )
-from repro.experiments.serving_study import ScenarioCell, ServingCell
+from repro.experiments.serving_study import ScenarioCell
 from repro.mapping.residency import KVCacheResidency, WeightResidency
 from repro.serving.scheduler import BatchPolicy
 from repro.sim.core import Environment
 from repro.studies.compile import (
-    is_classic_serving,
     lower_study,
     render_study,
     resolve_config,
@@ -231,27 +230,14 @@ class TestDecodeDeterminism:
 # ---------------------------------------------------------------------------
 
 
-# Pinned against the pre-transformer build (PR 7 HEAD): these literal
-# digests must never move for single-step cells.
-LEGACY_SERVING_KEY = (
-    "bf49d6d94dd2b0b91118ec2bbddbba54dee01a50be501d95463f151e27874a78"
-)
+# Pinned against the pre-transformer build: this literal digest must
+# never move for single-step cells.
 LEGACY_SCENARIO_KEY = (
     "17b297fe8fcf116f547cbdd5fbc0cc342ca46e6e0b7e8adfda348c7c34187250"
 )
 
 
 class TestLegacyKeys:
-    def test_classic_serving_key_byte_identical(self):
-        cell = ServingCell(
-            platform="2.5D-CrossLight-SiPh", model="LeNet5",
-            controller="resipi",
-            policy=BatchPolicy.max_batch_with_timeout(max_batch=4),
-            arrival_kind="poisson", rate_rps=50e3, duration_s=2e-3,
-            seed=7, config=DEFAULT_PLATFORM,
-        )
-        assert cell.key() == LEGACY_SERVING_KEY
-
     def test_single_step_scenario_key_byte_identical(self):
         cell = ScenarioCell(
             platform="2.5D-CrossLight-SiPh",
@@ -261,20 +247,6 @@ class TestLegacyKeys:
             config=DEFAULT_PLATFORM, residency_capacity_bits=1e9,
         )
         assert cell.key() == LEGACY_SCENARIO_KEY
-
-    def test_degenerate_spec_lowers_to_classic_cell(self):
-        spec = StudySpec(
-            name="cnn", kind="serving",
-            workload=WorkloadSpec(
-                models=(ModelTraffic(model="LeNet5"),),
-                rate_rps=50e3, duration_s=2e-3,
-            ),
-            scheduler=SchedulerSpec(policy="max-batch", max_batch=4),
-        )
-        assert is_classic_serving(spec)
-        (cell,) = lower_study(spec)[1][0]
-        assert isinstance(cell, ServingCell)
-        assert cell.key() == LEGACY_SERVING_KEY
 
     def test_degenerate_fidelity_keeps_sequence_keys(self):
         # A `mode: "des"` fidelity block is inert: the sequence cell it
