@@ -25,6 +25,8 @@ from ...config import PlatformConfig
 from ...sim.core import Environment
 from .fabric import PhotonicInterposerFabric
 
+_INFINITY = float("inf")
+
 
 class EpochController:
     """The epoch loop shared by every controller: close, decide, apply.
@@ -33,9 +35,18 @@ class EpochController:
     another one did is skipped: the previous epoch already applied the
     zero-demand (floor) decision, and nothing between the two can make
     re-applying it do anything.  A hazard cap cannot go below one
-    gateway, and a comb change re-applies itself to every channel.  The
-    epoch ticks themselves stay, so the controller keeps its place in
-    the kernel's (time, insertion-order) firing order.
+    gateway, and a comb change re-applies itself to every channel.
+
+    A skipped tick also collapses the idle stretch behind it.  When the
+    kernel's immediate queue is empty, nothing fires before the next
+    queued event or the end of the current run, so every tick before
+    both would fire into an untouched queue, close an empty epoch and
+    skip again.  Those epochs are closed on the spot, and the next tick
+    is scheduled at the time the tick chain would have reached
+    (``T += epoch_s`` step by step, the same floats).  The rescheduled
+    tick then sits after everything already queued and before anything
+    scheduled later, exactly where the chain would have put it, so no
+    other event's time or firing order moves.
 
     Subclasses apply their initial configuration in :meth:`boot` and
     their per-epoch one in :meth:`decide`, always through the fabric's
@@ -53,6 +64,13 @@ class EpochController:
         self.fabric = fabric
         self.config = config
         self.decision_log: list = []
+        # (chiplet id, read key, write key, read inventory, write
+        # inventory) per compute chiplet, in inventory order.
+        self._chiplets = tuple(
+            (chiplet_id, f"read:{chiplet_id}", f"write:{chiplet_id}",
+             inventory.n_read_gateways, inventory.n_write_gateways)
+            for chiplet_id, inventory in fabric.inventories.items()
+        )
         self.boot()
         self._process = env.process(self._run(config.resipi_epoch_s))
 
@@ -68,14 +86,25 @@ class EpochController:
             self.decision_log.append(decision)
 
     def _run(self, epoch_s: float):
+        env = self.env
         monitor = self.fabric.monitor
+        close_epoch = monitor.close_epoch
         idle = False
+        tick = env.timeout(epoch_s)
         while True:
-            yield self.env.timeout(epoch_s)
-            traffic = monitor.close_epoch()
+            yield tick
+            traffic = close_epoch()
+            at = env.now + epoch_s
             if traffic or not idle:
                 self.decide(monitor.demanded_bandwidth_bps(traffic))
-            idle = not traffic
+                idle = not traffic
+            else:
+                horizon = min(env.peek(), env.bound)
+                if horizon != _INFINITY:
+                    while at < horizon:
+                        close_epoch()
+                        at += epoch_s
+            tick = env.timeout_at(at)
 
 
 class ReSiPIController(EpochController):
@@ -97,31 +126,33 @@ class ReSiPIController(EpochController):
         for chiplet_id in self.fabric.inventories:
             self.fabric.set_active_chiplet_gateways(chiplet_id, 1, 1)
 
-    def _gateways_for_demand(self, demand_bps: float, maximum: int) -> int:
-        """Gateways needed to serve a demand with headroom, at least one."""
-        if demand_bps <= 0.0:
-            return 1
-        gateway_bw = self.config.gateway_bandwidth_bps
-        needed = math.ceil(self.headroom * demand_bps / gateway_bw)
-        return max(1, min(maximum, needed))
-
     def decide(self, demand: dict[str, float]) -> None:
         fabric = self.fabric
-        n_memory = self._gateways_for_demand(
-            demand.get("mem_read", 0.0), self.config.n_memory_write_gateways
-        )
+        headroom = self.headroom
+        gateway_bw = self.config.gateway_bandwidth_bps
+        get = demand.get
+        # Per channel: the gateways that serve its load with headroom,
+        # at least one and at most its inventory.
+        load = get("mem_read", 0.0)
+        n_memory = 1 if load <= 0.0 else max(1, min(
+            self.config.n_memory_write_gateways,
+            math.ceil(headroom * load / gateway_bw),
+        ))
         fabric.set_active_memory_gateways(n_memory)
         decisions = {"mem": n_memory}
-        for chiplet_id, inventory in fabric.inventories.items():
-            n_read = self._gateways_for_demand(
-                demand.get(f"read:{chiplet_id}", 0.0),
-                inventory.n_read_gateways,
-            )
-            n_write = self._gateways_for_demand(
-                demand.get(f"write:{chiplet_id}", 0.0),
-                inventory.n_write_gateways,
-            )
-            fabric.set_active_chiplet_gateways(chiplet_id, n_write, n_read)
+        set_chiplet = fabric.set_active_chiplet_gateways
+        for chiplet_id, read_key, write_key, max_read, max_write in (
+            self._chiplets
+        ):
+            load = get(read_key, 0.0)
+            n_read = 1 if load <= 0.0 else max(1, min(
+                max_read, math.ceil(headroom * load / gateway_bw)
+            ))
+            load = get(write_key, 0.0)
+            n_write = 1 if load <= 0.0 else max(1, min(
+                max_write, math.ceil(headroom * load / gateway_bw)
+            ))
+            set_chiplet(chiplet_id, n_write, n_read)
             decisions[chiplet_id] = n_read + n_write
         self._log(decisions)
 
@@ -149,19 +180,11 @@ class ProwavesController(EpochController):
 
     def decide(self, demand: dict[str, float]) -> None:
         # Peak per-gateway demand across channels sets the comb size.
-        peak = (demand.get("mem_read", 0.0)
-                / self.config.n_memory_write_gateways)
-        for chiplet_id, inventory in self.fabric.inventories.items():
-            peak = max(
-                peak,
-                demand.get(f"read:{chiplet_id}", 0.0)
-                / inventory.n_read_gateways,
-            )
-            peak = max(
-                peak,
-                demand.get(f"write:{chiplet_id}", 0.0)
-                / inventory.n_write_gateways,
-            )
+        get = demand.get
+        peak = get("mem_read", 0.0) / self.config.n_memory_write_gateways
+        for _, read_key, write_key, max_read, max_write in self._chiplets:
+            peak = max(peak, get(read_key, 0.0) / max_read)
+            peak = max(peak, get(write_key, 0.0) / max_write)
         n_lambda = self.config.n_wavelengths
         wanted = math.ceil(
             self.headroom * peak / self.config.wavelength_data_rate_bps

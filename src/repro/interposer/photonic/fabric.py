@@ -105,6 +105,17 @@ class _ChunkRelay:
             self.on_complete()
 
 
+def _reader_done(monitor, destination: str, bits: float, destination_done):
+    """Reader-stage completion of a one-chunk read to ``destination``."""
+    key = f"read:{destination}"
+
+    def done():
+        monitor.record(key, bits)
+        destination_done()
+
+    return done
+
+
 class PhotonicInterposerFabric(InterposerFabric):
     """The reconfigurable photonic interposer network."""
 
@@ -346,15 +357,19 @@ class PhotonicInterposerFabric(InterposerFabric):
         drained.  Traffic is recorded per chunk as it is served, so the
         epoch monitor sees *sustained* load while a long message drains
         — the signal the reconfiguration controllers ramp on.
+
+        A one-chunk message (nearly every message the serving workloads
+        move) chains the stage callbacks directly instead: the same
+        channel requests, monitor records and tail, in the same order,
+        without the relays' per-chunk queues.
         """
         destinations = multicast if multicast else (dst_chiplet,)
         self.bits_read += bits  # shared-medium payload charged once
-        done = Event(self.env)
-        chunks = self._chunks(bits)
-        if not chunks:
+        env = self.env
+        done = Event(env)
+        if bits <= 0:
             done.succeed()
             return done
-        n = len(chunks)
         pending = [len(destinations)]
 
         def finish(_event):
@@ -363,9 +378,31 @@ class PhotonicInterposerFabric(InterposerFabric):
         def destination_done():
             pending[0] -= 1
             if pending[0] == 0:
-                tail = self.env.timeout(self._transfer_tail_s)
+                tail = env.timeout(self._transfer_tail_s)
                 tail.callbacks = finish
 
+        if bits <= self.chunk_bits:
+            monitor = self.monitor
+            read_channels = self.chiplet_read_channels
+
+            def written():
+                monitor.record("mem_read", bits)
+                for destination in destinations:
+                    read_channels[destination].request_transfer(
+                        bits, _reader_done(monitor, destination, bits,
+                                           destination_done),
+                    )
+
+            self.hbm_channel.request_transfer(
+                bits,
+                lambda: self.memory_write_channel.request_transfer(
+                    bits, written
+                ),
+            )
+            return done
+
+        chunks = self._chunks(bits)
+        n = len(chunks)
         readers = [
             _ChunkRelay(
                 self.chiplet_read_channels[destination], self.monitor,
@@ -389,11 +426,15 @@ class PhotonicInterposerFabric(InterposerFabric):
         return done
 
     def write(self, src_chiplet: str, bits: float) -> Event:
-        """Chiplet -> memory transfer over the chiplet's SWSR channels."""
+        """Chiplet -> memory transfer over the chiplet's SWSR channels.
+
+        A one-chunk message chains writer channel -> HBM -> tail
+        directly, like :meth:`read`.
+        """
         self.bits_written += bits
-        done = Event(self.env)
-        chunks = self._chunks(bits)
-        if not chunks:
+        env = self.env
+        done = Event(env)
+        if bits <= 0:
             done.succeed()
             return done
 
@@ -401,9 +442,20 @@ class PhotonicInterposerFabric(InterposerFabric):
             done.succeed()
 
         def drained():
-            tail = self.env.timeout(self._transfer_tail_s)
+            tail = env.timeout(self._transfer_tail_s)
             tail.callbacks = finish
 
+        if bits <= self.chunk_bits:
+            def sent():
+                self.monitor.record(f"write:{src_chiplet}", bits)
+                self.hbm_channel.request_transfer(bits, drained)
+
+            self.chiplet_write_channels[src_chiplet].request_transfer(
+                bits, sent
+            )
+            return done
+
+        chunks = self._chunks(bits)
         hbm = _ChunkRelay(
             self.hbm_channel, None, None, None, len(chunks), drained
         )

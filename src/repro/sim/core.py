@@ -22,7 +22,11 @@ experiment matrix, so it is tuned):
   same-time heap entries, so ordering is exactly the seed kernel's
   (time, insertion-order) contract;
 * a :class:`Process` never allocates bootstrap/resume ``Event`` objects:
-  one reusable :class:`_Resume` per process carries the pending value.
+  one reusable :class:`_Resume` per process carries the pending value;
+* the run loops record their time bound (:attr:`Environment.bound`), so
+  a perpetual process that knows nothing can fire before the next queued
+  event may skip its own no-op wake-ups and reschedule itself at the
+  exact time its chain would have reached (:meth:`Environment.timeout_at`).
 """
 
 from __future__ import annotations
@@ -267,25 +271,37 @@ class Environment:
     sequence keeps the merged order identical to a single heap.
     """
 
-    __slots__ = ("_now", "_queue", "_immediate", "_sequence")
+    __slots__ = ("_now", "_queue", "_immediate", "_sequence", "_bound")
 
     def __init__(self):
         self._now = 0.0
         self._queue: list[tuple[float, int, Any]] = []
         self._immediate: deque[tuple[int, Any]] = deque()
         self._sequence = 0
+        self._bound = _INFINITY
 
     @property
     def now(self) -> float:
         """Current simulated time (s)."""
         return self._now
 
+    @property
+    def bound(self) -> float:
+        """Time bound of the latest run loop (s); +inf when unbounded.
+
+        ``until`` of :meth:`run` or ``limit`` of :meth:`run_until_event`:
+        no event after it fires in that loop, and code outside the loop
+        may schedule new events once it returns.
+        """
+        return self._bound
+
     # NOTE: there is deliberately no generic _schedule() helper — the
-    # three scheduling sites (succeed, Timeout, timeout()) inline the
-    # immediate-vs-heap dispatch because the call overhead is measurable
-    # at event rates.  New scheduling paths must follow the same
-    # pattern: bump _sequence, then append to _immediate for zero delay
-    # or heap-push (fire_time, seq, event) otherwise.
+    # scheduling sites (succeed, Timeout, timeout(), timeout_at(), the
+    # channel grants of sim/resources.py) inline the immediate-vs-heap
+    # dispatch because the call overhead is measurable at event rates.
+    # New scheduling paths must follow the same pattern: bump
+    # _sequence, then append to _immediate for zero delay or heap-push
+    # (fire_time, seq, event) otherwise.
 
     # -- factories ------------------------------------------------------------
 
@@ -310,6 +326,31 @@ class Environment:
             self._immediate.append((seq, event))
         else:
             _heappush(self._queue, (self._now + delay, seq, event))
+        return event
+
+    def timeout_at(self, at: float, value: Any = None) -> Timeout:
+        """An event that fires at absolute time ``at``.
+
+        Scheduled exactly like ``timeout(at - now)`` would be, without
+        the subtraction: ``at`` is pushed as given, so a caller that
+        accumulates a chain of times lands on the same floats.
+        """
+        now = self._now
+        if at < now:
+            raise SimulationError(
+                f"cannot schedule at {at}: time is already {now}"
+            )
+        event = _timeout_new(Timeout)
+        event.env = self
+        event.callbacks = None
+        event._triggered = True
+        event._processed = False
+        event._value = value
+        seq = self._sequence = self._sequence + 1
+        if at == now:
+            self._immediate.append((seq, event))
+        else:
+            _heappush(self._queue, (at, seq, event))
         return event
 
     def process(self, generator: Generator[Event, Any, Any]) -> Process:
@@ -349,7 +390,7 @@ class Environment:
         queue = self._queue
         immediate = self._immediate
         pop = _heappop
-        bound = _INFINITY if until is None else until
+        bound = self._bound = _INFINITY if until is None else until
         while True:
             if immediate:
                 # Fire same-time heap entries first when they were
@@ -403,7 +444,7 @@ class Environment:
         immediate = self._immediate
         pop = _heappop
         now = self._now
-        bound = _INFINITY if limit is None else limit
+        bound = self._bound = _INFINITY if limit is None else limit
         while not event._processed:
             if immediate:
                 if queue and queue[0][0] == now and (

@@ -15,10 +15,13 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from heapq import heappush
 from typing import Any, Deque, Generator
 
 from ..errors import SimulationError
-from .core import Environment, Event
+from .core import Environment, Event, Timeout
+
+_timeout_new = Timeout.__new__
 
 
 @dataclass(frozen=True)
@@ -215,28 +218,51 @@ class BandwidthChannel:
             self._waiting.append((bits, fn))
             return
         self._busy = True
-        self._busy_since = self.env.now
-        self._start(bits, fn)
-
-    def _start(self, bits: float, fn) -> None:
-        # Hold time is locked in at grant time: later rate changes only
-        # affect transfers still waiting.
+        env = self.env
+        self._busy_since = env._now
+        # Grant: the hold is locked in now, so later rate changes only
+        # affect transfers still waiting.  The hold Timeout is built and
+        # scheduled inline, exactly as ``Environment.timeout`` would.
         self._active_bits = bits
         self._active_fn = fn
-        timeout = self.env.timeout(bits / self._bandwidth_bps)
-        timeout.callbacks = self._complete_cb
+        hold = _timeout_new(Timeout)
+        hold.env = env
+        hold.callbacks = self._complete_cb
+        hold._triggered = True
+        hold._processed = False
+        hold._value = None
+        seq = env._sequence = env._sequence + 1
+        delay = bits / self._bandwidth_bps
+        if delay == 0.0:
+            env._immediate.append((seq, hold))
+        else:
+            heappush(env._queue, (env._now + delay, seq, hold))
 
     def _complete(self, _event: Event) -> None:
         bits = self._active_bits
         fn = self._active_fn
         self.bits_transferred += bits
         self.transfer_count += 1
+        env = self.env
         if self._waiting:
-            next_bits, next_fn = self._waiting.popleft()
-            self._start(next_bits, next_fn)
+            # Grant the next waiter inline (same steps as above).
+            next_bits, self._active_fn = self._waiting.popleft()
+            self._active_bits = next_bits
+            hold = _timeout_new(Timeout)
+            hold.env = env
+            hold.callbacks = self._complete_cb
+            hold._triggered = True
+            hold._processed = False
+            hold._value = None
+            seq = env._sequence = env._sequence + 1
+            delay = next_bits / self._bandwidth_bps
+            if delay == 0.0:
+                env._immediate.append((seq, hold))
+            else:
+                heappush(env._queue, (env._now + delay, seq, hold))
         else:
             self._busy = False
-            self._busy_time += self.env.now - self._busy_since
+            self._busy_time += env._now - self._busy_since
             self._busy_since = None
             self._active_fn = None
         fn()

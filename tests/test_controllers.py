@@ -17,6 +17,7 @@ from repro.interposer.photonic.faults import (
     RingDriftBurst,
 )
 from repro.interposer.topology import build_floorplan
+from repro.photonics.constants import PCMC_SWITCHING_TIME_S
 from repro.sim.core import Environment
 
 
@@ -314,3 +315,176 @@ class TestIdleEpochs:
                 samples.append(channel_trace(fabric))
             traces.append(samples)
         assert traces[0] == traces[1]
+
+
+class UncollapsedReSiPI(ReSiPIController):
+    """ReSiPI on the epoch loop without the idle-stretch collapse: one
+    kernel tick per epoch, idle ones skipping the decision."""
+
+    def _run(self, epoch_s):
+        monitor = self.fabric.monitor
+        idle = False
+        while True:
+            yield self.env.timeout(epoch_s)
+            traffic = monitor.close_epoch()
+            if traffic or not idle:
+                self.decide(monitor.demanded_bandwidth_bps(traffic))
+            idle = not traffic
+
+
+def tick_times(n):
+    """The first ``n`` epoch tick times, accumulated as the loop does."""
+    times, at = [], 0.0
+    for _ in range(n):
+        at += DEFAULT_PLATFORM.resipi_epoch_s
+        times.append(at)
+    return times
+
+
+def observe(cls, scenario):
+    """Run ``scenario(env, fabric, log)`` under ``cls``; everything the
+    collapse could perturb, plus the kernel's scheduling count."""
+    env, fabric, controller = make_stack(cls)
+    log = []
+    for name in HOOKS:
+        original = getattr(fabric, name)
+
+        def hook(*args, _name=name, _original=original):
+            log.append((_name, env.now) + args)
+            return _original(*args)
+
+        setattr(fabric, name, hook)
+    scenario(env, fabric, log)
+    signals = [fabric.active_memory_gateways]
+    for chiplet_id in fabric.inventories:
+        signals.append(fabric.active_write_gateways[chiplet_id])
+        signals.append(fabric.active_read_gateways[chiplet_id])
+    return {
+        "decisions": controller.decision_log,
+        "history": list(fabric.monitor.history),
+        "integrals": [signal.integral() for signal in signals],
+        "log": log,
+        "channels": channel_trace(fabric),
+        "now": env.now,
+        "energy": fabric.energy_report().total_energy_j,
+    }, env._sequence
+
+
+def traffic_at(env, fabric, log, start_s, tag, bits=5e5, process=False):
+    """A read, a multicast read and a write, issued at ``start_s``
+    (by a process started then, with ``process``)."""
+
+    def issue(_=None):
+        group = ("3x3 conv-0", "3x3 conv-1", "5x5 conv-0")
+        for name, done in (
+            ("read", fabric.read("3x3 conv-0", bits)),
+            ("multicast", fabric.read(group[0], bits / 4, group)),
+            ("write", fabric.write("dense100-1", bits / 2)),
+        ):
+            done._add_callback(
+                lambda _, n=name: log.append((tag, n, env.now))
+            )
+
+    def issuer():
+        issue()
+        yield env.timeout(0.0)
+
+    if process:
+        env.timeout_at(start_s).callbacks = (
+            lambda _: env.process(issuer())
+        )
+    else:
+        env.timeout_at(start_s).callbacks = issue
+
+
+class TestIdleEpochCollapse:
+    """Collapsing idle stretches changes no decision, no epoch, no
+    integral and no event order, and schedules far fewer ticks."""
+
+    def compare(self, scenario):
+        fast, fast_events = observe(ReSiPIController, scenario)
+        reference, reference_events = observe(UncollapsedReSiPI, scenario)
+        assert fast == reference
+        assert fast_events < reference_events
+        return fast
+
+    def test_sparse_bursty_traffic(self):
+        ticks = tick_times(401)
+
+        def scenario(env, fabric, log):
+            # Bursts between long silences, two of them issued on a
+            # tick's exact time (one by a process that starts then, so
+            # the tick fires with it still in the immediate queue).
+            for index, start in enumerate((2e-6, 40e-6, 41e-6, ticks[119],
+                                           300e-6)):
+                traffic_at(env, fabric, log, start, index)
+            traffic_at(env, fabric, log, ticks[199], "p", process=True)
+            # Traffic an event queued long before records on a tick's
+            # exact time: it belongs to the epoch that tick closes.
+            env.timeout_at(ticks[259]).callbacks = (
+                lambda _: fabric.monitor.record("write:dense100-0", 4e4)
+            )
+            env.run(until=400e-6)
+
+        result = self.compare(scenario)
+        assert len(result["history"]) == sum(t <= 400e-6 for t in ticks)
+        assert sum(entry[0] not in HOOKS for entry in result["log"]) == 18
+        assert result["history"][259] == {"write:dense100-0": 4e4}
+
+    def test_bounded_runs_with_injection_between_them(self):
+        ticks = tick_times(200)
+        bounds = (7.3e-6, ticks[19], ticks[20], 55.5e-6, ticks[99], 180e-6)
+
+        def scenario(env, fabric, log):
+            # Queued from the start: every idle stretch before it ends
+            # at a run's bound, not at this burst.
+            traffic_at(env, fabric, log, 250e-6, "late")
+            for round_, bound in enumerate(bounds):
+                env.run(until=bound)
+                # From outside the loop, at the bound: traffic starts on
+                # the spot, plus a burst for later in the next run.
+                for name, done in (
+                    ("read", fabric.read("5x5 conv-1", 3e5)),
+                    ("write", fabric.write("3x3 conv-2", 1e5)),
+                ):
+                    done._add_callback(
+                        lambda _, n=name, r=round_: log.append(
+                            (r, n, env.now))
+                    )
+                traffic_at(env, fabric, log, bound + 13e-6, -round_)
+            env.run(until=260e-6)
+
+        result = self.compare(scenario)
+        assert result["now"] == 260e-6
+
+    def test_hazards_and_a_pcmc_write_landing_on_a_tick(self):
+        # Every PCMC-deferred increase decided on a tick lands exactly
+        # on the next one.
+        assert DEFAULT_PLATFORM.resipi_epoch_s == PCMC_SWITCHING_TIME_S
+        ticks = tick_times(300)
+        assert ticks[150] + PCMC_SWITCHING_TIME_S == ticks[151]
+
+        def scenario(env, fabric, log):
+            HazardEngine(fabric, HazardTimeline((
+                GatewayFail(at_s=60.5e-6, memory_gateways=3,
+                            chiplet_gateways=(("3x3 conv-0", 1, 2),)),
+                RingDriftBurst(at_s=90e-6, duration_s=30e-6,
+                               temperature_rise_k=8.0),
+                GatewayRepair(at_s=ticks[180], memory_gateways=3,
+                              chiplet_gateways=(("3x3 conv-0", 1, 2),)),
+            )))
+            traffic_at(env, fabric, log, 2e-6, "a")
+            traffic_at(env, fabric, log, 100e-6, "b")
+            traffic_at(env, fabric, log, 200e-6, "c")
+
+            def raise_gateways(_):
+                # In silence, on a tick: the write lands on the next.
+                fabric.set_active_memory_gateways(4)
+
+            env.timeout_at(ticks[150]).callbacks = raise_gateways
+            env.run(until=300e-6)
+
+        result = self.compare(scenario)
+        landed = [entry for entry in result["log"]
+                  if entry[:2] == ("set_active_memory_gateways", ticks[150])]
+        assert landed

@@ -1,10 +1,15 @@
 """Photonic interposer fabric: transfers, multicast, reconfiguration."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.config import DEFAULT_PLATFORM
 from repro.errors import ConfigurationError
-from repro.interposer.photonic.fabric import PhotonicInterposerFabric
+from repro.interposer.photonic.fabric import (
+    PhotonicInterposerFabric,
+    _ChunkRelay,
+)
 from repro.interposer.photonic.links import (
     swmr_read_budget,
     swsr_write_budget,
@@ -14,12 +19,13 @@ from repro.interposer.topology import build_floorplan
 from repro.sim.core import Environment
 
 
-def make_fabric(chunk_bits=256 * 1024):
+CHUNK_BITS = 256 * 1024
+
+
+def make_fabric(chunk_bits=CHUNK_BITS, cls=PhotonicInterposerFabric):
     env = Environment()
     floorplan = build_floorplan(DEFAULT_PLATFORM)
-    fabric = PhotonicInterposerFabric(
-        env, DEFAULT_PLATFORM, floorplan, chunk_bits=chunk_bits
-    )
+    fabric = cls(env, DEFAULT_PLATFORM, floorplan, chunk_bits=chunk_bits)
     return env, fabric
 
 
@@ -90,6 +96,189 @@ class TestTransfers:
         assert epoch["read:5x5 conv-0"] == 1e6
         assert epoch["write:5x5 conv-0"] == 2e6
         assert epoch["mem_read"] == 1e6
+
+
+class RelayFabric(PhotonicInterposerFabric):
+    """Every message through :class:`_ChunkRelay` stages, whatever its
+    size: the construction the one-chunk pipeline must reproduce."""
+
+    def read(self, dst_chiplet, bits, multicast=None):
+        destinations = multicast if multicast else (dst_chiplet,)
+        self.bits_read += bits
+        done = self.env.event()
+        chunks = self._chunks(bits)
+        if not chunks:
+            done.succeed()
+            return done
+        n = len(chunks)
+        pending = [len(destinations)]
+
+        def destination_done():
+            pending[0] -= 1
+            if pending[0] == 0:
+                tail = self.env.timeout(self._transfer_tail_s)
+                tail.callbacks = lambda _: done.succeed()
+
+        readers = [
+            _ChunkRelay(self.chiplet_read_channels[destination],
+                        self.monitor, f"read:{destination}", None, n,
+                        destination_done)
+            for destination in destinations
+        ]
+
+        def fanout(chunk):
+            for relay in readers:
+                relay.feed(chunk)
+
+        writer = _ChunkRelay(self.memory_write_channel, self.monitor,
+                             "mem_read", fanout, n, None)
+        hbm = _ChunkRelay(self.hbm_channel, None, None, writer.feed, n, None)
+        for chunk in chunks:
+            hbm.feed(chunk)
+        return done
+
+    def write(self, src_chiplet, bits):
+        self.bits_written += bits
+        done = self.env.event()
+        chunks = self._chunks(bits)
+        if not chunks:
+            done.succeed()
+            return done
+
+        def drained():
+            tail = self.env.timeout(self._transfer_tail_s)
+            tail.callbacks = lambda _: done.succeed()
+
+        hbm = _ChunkRelay(self.hbm_channel, None, None, None, len(chunks),
+                          drained)
+        source = _ChunkRelay(self.chiplet_write_channels[src_chiplet],
+                             self.monitor, f"write:{src_chiplet}", hbm.feed,
+                             len(chunks), None)
+        for chunk in chunks:
+            source.feed(chunk)
+        return done
+
+
+CHIPLETS = tuple(
+    site.chiplet_id
+    for site in build_floorplan(DEFAULT_PLATFORM).compute_sites
+)
+SLOT_S = 0.25e-6
+"""Issue times are multiples of this, so many messages start together."""
+
+messages = st.tuples(
+    st.integers(0, 6),                           # issue slot
+    st.sampled_from(("read", "multicast", "write")),
+    st.integers(0, len(CHIPLETS) - 1),           # first chiplet
+    st.sampled_from((CHUNK_BITS, CHUNK_BITS / 2, 3e3, 4.1e4, 0.0,
+                     2.5 * CHUNK_BITS)),
+    st.booleans(),                               # twin on another chiplet
+)
+bandwidth_changes = st.tuples(
+    st.integers(0, 6),                           # slot
+    st.integers(1, DEFAULT_PLATFORM.n_memory_write_gateways),
+    st.integers(0, len(CHIPLETS) - 1),
+    st.integers(1, 4),                           # write gateways
+    st.integers(1, 4),                           # read gateways
+)
+
+
+def play(cls, script, changes):
+    """Run one script; everything the one-chunk path could perturb."""
+    env, fabric = make_fabric(cls=cls)
+    fired = []
+    history = []
+
+    def epochs():
+        while True:
+            yield env.timeout(DEFAULT_PLATFORM.resipi_epoch_s)
+            history.append(fabric.monitor.close_epoch())
+
+    env.process(epochs())
+
+    def change(slot, n_memory, index, n_write, n_read):
+        chiplet = CHIPLETS[index]
+        inventory = fabric.inventories[chiplet]
+
+        def apply(_):
+            fabric.set_active_memory_gateways(n_memory)
+            fabric.set_active_chiplet_gateways(
+                chiplet, min(n_write, inventory.n_write_gateways),
+                min(n_read, inventory.n_read_gateways),
+            )
+
+        env.timeout(slot * SLOT_S).callbacks = apply
+
+    for args in changes:
+        change(*args)
+    dones = []
+
+    def issue(index, kind, chiplet, bits):
+        def start(_):
+            if kind == "write":
+                done = fabric.write(CHIPLETS[chiplet], bits)
+            else:
+                group = None
+                if kind == "multicast":
+                    group = tuple(CHIPLETS[(chiplet + k) % len(CHIPLETS)]
+                                  for k in range(3))
+                done = fabric.read(CHIPLETS[chiplet], bits, group)
+            done._add_callback(lambda _: fired.append((index, env.now)))
+            dones.append(done)
+
+        env.timeout(slot * SLOT_S).callbacks = start
+
+    index = 0
+    for slot, kind, chiplet, bits, twin in script:
+        issue(index, kind, chiplet, bits)
+        index += 1
+        if twin:
+            # Same size, same instant, another chiplet: equal floats
+            # finishing together, the ties the pipeline must keep.
+            issue(index, kind, (chiplet + 1) % len(CHIPLETS), bits)
+            index += 1
+    env.run(until=7 * SLOT_S)
+    env.run_until_event(env.all_of(dones), limit=1.0)
+    history.append(fabric.monitor.close_epoch())
+    channels = [(channel.name, channel.bits_transferred,
+                 channel.transfer_count, channel.busy_time())
+                for channel in fabric.iter_channels()]
+    return fired, history, channels, env.now
+
+
+class TestOneChunkPipeline:
+    """Messages of at most one chunk skip the relays: same times, same
+    firing order, same epoch traffic as building them from relays."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(messages, min_size=1, max_size=16),
+           st.lists(bandwidth_changes, max_size=3))
+    # A multicast whose reader stages finish together while equal reads
+    # wait behind them: fanning out in any other order than the
+    # destinations' swaps those reads.
+    @example([(0, "read", 0, CHUNK_BITS, False)] * 14
+             + [(0, "multicast", 0, CHUNK_BITS, False),
+                (0, "read", 1, CHUNK_BITS / 2, True)], [])
+    def test_matches_relay_chains(self, script, changes):
+        fast = play(PhotonicInterposerFabric, script, changes)
+        reference = play(RelayFabric, script, changes)
+        assert fast == reference
+        assert len(fast[0]) == len(script) + sum(t[-1] for t in script)
+
+    def test_twin_writes_finish_on_the_same_float(self, monkeypatch):
+        """The ties the property above relies on do happen: equal
+        writes on two chiplets leave their writer stages together."""
+        env, fabric = make_fabric()
+        records = []
+        record = fabric.monitor.record
+        monkeypatch.setattr(fabric.monitor, "record", lambda key, bits: (
+            records.append((key, env.now)), record(key, bits)))
+        fabric.write(CHIPLETS[0], CHUNK_BITS)
+        fabric.write(CHIPLETS[2], CHUNK_BITS)
+        env.run()
+        (key0, t0), (key2, t2) = records
+        assert (key0, key2) == (f"write:{CHIPLETS[0]}", f"write:{CHIPLETS[2]}")
+        assert t0 == t2
 
 
 class TestReconfiguration:

@@ -356,6 +356,90 @@ class TestSameTimeSequencing:
         assert order == ["heap-1", "heap-2", "immediate"]
 
 
+class TestAbsoluteTimeScheduling:
+    """``timeout_at`` and the run bound the epoch controllers read."""
+
+    def test_timeout_at_fires_at_the_given_time(self):
+        env = Environment()
+        env.timeout(1.0)
+        env.run()
+        event = env.timeout_at(3.25, "v")
+        assert env.run() == 3.25
+        assert event.processed and event.value == "v"
+
+    def test_timeout_at_rejects_a_past_time(self):
+        env = Environment()
+        env.timeout(2.0)
+        env.run()
+        with pytest.raises(SimulationError):
+            env.timeout_at(1.999)
+
+    def test_timeout_at_now_goes_to_the_immediate_fifo(self):
+        env = Environment()
+        order = []
+
+        def driver():
+            yield env.timeout(1.0)
+            order.append("driver")
+            env.timeout_at(env.now).callbacks = (
+                lambda _: order.append("at-now")
+            )
+            # Zero delay: queued behind the heap entry already at 1.0,
+            # like any zero-length timeout, not ahead of it.
+            assert env._immediate and env.peek() == env.now
+
+        def peer():
+            yield env.timeout(1.0)
+            order.append("peer")
+
+        env.process(driver())
+        env.process(peer())
+        env.run()
+        assert order == ["driver", "peer", "at-now"]
+
+    def test_timeout_at_orders_like_the_equivalent_timeout(self):
+        """Same time, same sequence position as ``timeout(at - now)``."""
+        orders = []
+        for absolute in (False, True):
+            env = Environment()
+            order = []
+            env.timeout(0.5).callbacks = lambda _: order.append("early")
+            if absolute:
+                env.timeout_at(0.5).callbacks = lambda _: order.append("tick")
+            else:
+                env.timeout(0.5).callbacks = lambda _: order.append("tick")
+            env.timeout(0.5).callbacks = lambda _: order.append("late")
+            env.run()
+            orders.append(order)
+        assert orders[0] == orders[1] == ["early", "tick", "late"]
+
+    def test_both_run_loops_record_their_bound(self):
+        env = Environment()
+        seen = []
+
+        def probe():
+            while True:
+                seen.append(env.bound)
+                yield env.timeout(1.0)
+
+        env.process(probe())
+        env.run(until=2.5)
+        assert seen and set(seen) == {2.5}
+        seen.clear()
+        env.run_until_event(env.timeout(1.0), limit=7.0)
+        assert seen and set(seen) == {7.0}
+        seen.clear()
+        env.run_until_event(env.timeout(1.0))
+        assert seen and set(seen) == {float("inf")}
+        env.run(until=env.now + 1.5)
+        assert seen[-1] == env.now
+        fresh = Environment()
+        assert fresh.bound == float("inf")
+        fresh.timeout(2.0).callbacks = lambda _: seen.append(fresh.bound)
+        fresh.run()
+        assert seen[-1] == float("inf")
+
+
 class TestResource:
     def test_grants_up_to_capacity(self):
         env = Environment()
