@@ -10,6 +10,9 @@ Three policies, matching Section IV of the paper:
 * :class:`StaticController` — everything always on (the passive-network
   upper bound on performance and power; ablation baseline).
 
+PROWAVES and static keep every gateway on, so after a ``gateway-repair``
+their decision re-raises the counts the earlier ``gateway-fail`` capped.
+
 Controllers are simulation processes sharing one epoch loop
 (:class:`EpochController`): they wake at every epoch boundary, read the
 fabric's traffic monitor, and apply the new configuration unless the
@@ -48,6 +51,10 @@ class EpochController:
     scheduled later, exactly where the chain would have put it, so no
     other event's time or firing order moves.
 
+    A policy whose idle decision is not a fixed floor says so through
+    :meth:`_restore_pending`: while it holds, idle epochs decide as if
+    they carried traffic.
+
     Subclasses apply their initial configuration in :meth:`boot` and
     their per-epoch one in :meth:`decide`, always through the fabric's
     hooks as instance attributes (the hazard engine caps them there).
@@ -80,6 +87,10 @@ class EpochController:
     def decide(self, demand: dict[str, float]) -> None:
         """Apply the configuration for one epoch's offered load (b/s)."""
 
+    def _restore_pending(self) -> bool:
+        """Whether an idle epoch's decision could still raise a count."""
+        return False
+
     def _log(self, decision) -> None:
         """Append ``decision`` if it differs from the latest one."""
         if not self.decision_log or self.decision_log[-1] != decision:
@@ -95,9 +106,10 @@ class EpochController:
             yield tick
             traffic = close_epoch()
             at = env.now + epoch_s
-            if traffic or not idle:
+            active = bool(traffic) or (idle and self._restore_pending())
+            if active or not idle:
                 self.decide(monitor.demanded_bandwidth_bps(traffic))
-                idle = not traffic
+                idle = not active
             else:
                 horizon = min(env.peek(), env.bound)
                 if horizon != _INFINITY:
@@ -157,7 +169,50 @@ class ReSiPIController(EpochController):
         self._log(decisions)
 
 
-class ProwavesController(EpochController):
+class _FullInventoryController(EpochController):
+    """A policy that keeps every gateway on.
+
+    Only a hazard lowers a count (a ``gateway-fail`` caps it through the
+    fabric hooks), and nothing else raises it again after the
+    ``gateway-repair``.  So every decision re-asserts each inventory
+    maximum a count sits below, through the capped hooks: a no-op while
+    the failure lasts, the restore once it is repaired.  Idle epochs
+    decide too while a count sits below its maximum, and so does the
+    epoch after, as after a decision on traffic.
+    """
+
+    def _short(self) -> tuple[bool, list]:
+        """Whether the memory side sits below its inventory, and the
+        (chiplet, write max, read max) of every chiplet that does."""
+        fabric = self.fabric
+        writers = fabric.active_write_gateways
+        readers = fabric.active_read_gateways
+        chiplets = [
+            (chiplet_id, max_write, max_read)
+            for chiplet_id, _, _, max_read, max_write in self._chiplets
+            if writers[chiplet_id].value < max_write
+            or readers[chiplet_id].value < max_read
+        ]
+        memory = (fabric.active_memory_gateways.value
+                  < self.config.n_memory_write_gateways)
+        return memory, chiplets
+
+    def _restore_pending(self) -> bool:
+        memory, chiplets = self._short()
+        return memory or bool(chiplets)
+
+    def decide(self, demand: dict[str, float]) -> None:
+        memory, chiplets = self._short()
+        fabric = self.fabric
+        if memory:
+            fabric.set_active_memory_gateways(
+                self.config.n_memory_write_gateways
+            )
+        for chiplet_id, max_write, max_read in chiplets:
+            fabric.set_active_chiplet_gateways(chiplet_id, max_write, max_read)
+
+
+class ProwavesController(_FullInventoryController):
     """Epoch-driven wavelength scaling (PROWAVES [11]).
 
     All gateways stay active; the controller scales the active share of
@@ -192,13 +247,16 @@ class ProwavesController(EpochController):
         fraction = max(1, min(n_lambda, wanted)) / n_lambda
         self.fabric.set_wavelength_fraction(fraction)
         self._log(fraction)
+        # After the comb, so a raised count waits for its PCMC write.
+        super().decide(demand)
 
 
-class StaticController(EpochController):
+class StaticController(_FullInventoryController):
     """No reconfiguration: all gateways and wavelengths always active.
 
-    The fabric boots fully active; the epoch loop only drains the
-    monitor so it does not grow.
+    The fabric boots fully active; the epoch loop drains the monitor so
+    it does not grow, and re-raises the counts a repaired gateway
+    failure left capped.
     """
 
 

@@ -488,3 +488,46 @@ class TestIdleEpochCollapse:
         landed = [entry for entry in result["log"]
                   if entry[:2] == ("set_active_memory_gateways", ticks[150])]
         assert landed
+
+
+class TestGatewayRepair:
+    """PROWAVES and static keep every gateway on: a repair undoes the
+    cap its failure put on the counts, idle or busy, on the first epoch
+    a decision on every epoch would."""
+
+    @pytest.mark.parametrize("busy", (False, True))
+    @pytest.mark.parametrize("controller_cls",
+                             (ProwavesController, StaticController))
+    def test_repair_restores_every_gateway(self, controller_cls, busy):
+        chiplet = "3x3 conv-0"
+        runs = []
+        for cls in (controller_cls, every_epoch(controller_cls)):
+            env, fabric, controller = make_stack(cls)
+            HazardEngine(fabric, HazardTimeline((
+                GatewayFail(at_s=10e-6, memory_gateways=5,
+                            chiplet_gateways=((chiplet, 2, 3),)),
+                GatewayRepair(at_s=30.5e-6, memory_gateways=5,
+                              chiplet_gateways=((chiplet, 2, 3),)),
+            )))
+            starts = (2e-6, 20e-6, 28e-6, 29e-6, 31e-6) if busy else (2e-6,)
+            bursts(env, fabric, starts)
+            samples = []
+            for step in range(100):
+                env.run(until=(step + 1) * 0.5e-6)
+                samples.append(channel_trace(fabric))
+            counts = [fabric.active_memory_gateways.value]
+            for cid in fabric.inventories:
+                counts.append(fabric.active_write_gateways[cid].value)
+                counts.append(fabric.active_read_gateways[cid].value)
+            runs.append((samples, counts, fabric.reconfiguration_count,
+                         fabric.pcmc_energy_j, controller.decision_log))
+            maxima = [DEFAULT_PLATFORM.n_memory_write_gateways]
+            for inventory in fabric.inventories.values():
+                maxima += [inventory.n_write_gateways,
+                           inventory.n_read_gateways]
+            assert counts == maxima
+            assert fabric.memory_write_channel.bandwidth_bps == (
+                maxima[0] * DEFAULT_PLATFORM.gateway_bandwidth_bps
+                * fabric._wavelength_fraction
+            )
+        assert runs[0] == runs[1]

@@ -141,15 +141,18 @@ GOLDEN = {
         "ee5b7f9ef52ebc09b9c3e23aa7f225dcadae56c72081179b3c15b5127521aa95",
         [0.03501579437537745, 0.03308615144238549, 0.03377529639430663],
     ),
+    # prowaves and static re-raise the gateways the fail capped once the
+    # repair lands (700 us); every record that arrived before is as it
+    # was pinned before that fix.
     "prowaves": (
         103,
-        "c7a908573144624c23c6d8743663036ad433b995b9e3fcee8c27be0eb01cc9d2",
-        [0.015877867221176227],
+        "cb418090c5a5a3bab8b690d9add8cd937a542fdac8fc617cc5c87590d69a4074",
+        [0.016772791224037128],
     ),
     "static": (
         103,
-        "d1cd048182f1a3fdaa7f44801661e5a89b3e362117159d29cf9b01d80f0ad56d",
-        [0.1304125831684887],
+        "8d46c76130d18f3e4bf38788e8f9f7e44f66a62bd606d4578013424731081daa",
+        [0.13731587267824788],
     ),
     "classic": (
         53,
