@@ -12,11 +12,21 @@ layer, with the dataflow of Section V:
    writes land and its weights are present.
 
 Execution is **request-scoped**: a :class:`RequestExecution` drives one
-(batched) inference as an ordinary simulation process, so any number of
+(batched) inference as a chain of kernel callbacks, so any number of
 requests can be in flight concurrently over one shared fabric — that is
 what the serving layer (:mod:`repro.serving`) does.  The classic
 single-inference :class:`InferenceEngine` is the trivial one-request
 case and produces bit-identical results to the pre-serving engine.
+
+No generator process runs per execution or per chiplet share, yet the
+layer loop and each chiplet's share of a layer schedule exactly what a
+process would, at the same float times and in the same order: every
+bootstrap and every resume on an already-fired event is one
+:meth:`~repro.sim.core.Environment.call_soon` hop (never a synchronous
+call), every wait on a pending event is one callback on it, and the
+completion event succeeds where a process would return.  Same-time
+ties between concurrent requests are common, so this is what keeps the
+kernel's sequence stream, and every record, exact.
 
 Each execution records per-layer timings and the lane-operation counts
 the energy model needs into an :class:`ExecutionTrace`; concurrent
@@ -32,7 +42,7 @@ from ..config import PlatformConfig
 from ..errors import SimulationError
 from ..interposer.base import InterposerFabric
 from ..mapping.mapper import LayerMapping, ModelMapping
-from ..sim.core import Environment, Event, Process
+from ..sim.core import AllOf, Environment, Event
 from ..sim.resources import ChannelStat, Resource
 from .metrics import LayerTiming
 
@@ -127,6 +137,20 @@ class ComputeOccupancy:
         ) / len(self._resources)
 
 
+def _wait(event: Event, fn) -> None:
+    """Run ``fn`` once ``event`` has fired, as a process would resume.
+
+    A pending event takes ``fn`` as a callback; an event that has
+    already fired costs one hop through the immediate FIFO, the hop
+    :meth:`Process._step <repro.sim.core.Process._step>` makes, never a
+    synchronous call.
+    """
+    if event._processed:
+        event.env.call_soon(fn)
+    else:
+        event._add_callback(fn)
+
+
 class RequestExecution:
     """One in-flight (batched) inference request over a shared fabric.
 
@@ -141,7 +165,22 @@ class RequestExecution:
     fetch instead of re-streaming them.  Without a residency store the
     execution fetches weights itself — the classic cold-fabric
     single-inference behaviour.
+
+    The layer loop is a callback chain: :meth:`_begin` (the bootstrap
+    hop) -> :meth:`_await_weights` -> :meth:`_weights_ready` (input
+    read, one :class:`_ChipletShare` per allocation) ->
+    :meth:`_layer_done` (once every share has finished) -> the next
+    layer, or the completion event.  Only one layer is in flight at a
+    time, so its state lives in the ``_``-prefixed slots.
     """
+
+    __slots__ = (
+        "env", "config", "fabric", "mapping", "trace", "mac_rate_hz",
+        "batch_size", "residency", "compute", "model_name",
+        "record_timings", "obs", "obs_track",
+        "_done", "_layers", "_index", "_weights", "_start_s", "_ready_s",
+        "_chiplet_ids",
+    )
 
     def __init__(
         self,
@@ -178,9 +217,11 @@ class RequestExecution:
         self.obs = obs
         self.obs_track = obs_track
 
-    def start(self) -> Process:
-        """Launch the execution; the returned process fires on completion."""
-        return self.env.process(self._run_proc())
+    def start(self) -> Event:
+        """Launch the execution; the returned event fires on completion."""
+        done = self._done = Event(self.env)
+        self.env.call_soon(self._begin)
+        return done
 
     # -- internals ------------------------------------------------------------------
 
@@ -202,116 +243,184 @@ class RequestExecution:
         ]
         return self.env.all_of(transfers)
 
-    def _run_proc(self):
-        layers = list(self.mapping)
+    def _begin(self) -> None:
+        layers = self._layers = tuple(self.mapping)
         if not layers:
+            self._done.succeed()
             return
-        weights_ready: list[Event | None] = [None] * len(layers)
-        weights_ready[0] = self._fetch_weights(layers[0])
+        self._index = 0
+        self._weights = self._fetch_weights(layers[0])
+        self._await_weights()
 
-        for index, layer_mapping in enumerate(layers):
-            start = self.env.now
-            if self.obs is not None:
-                self.obs.begin(
-                    self.obs_track,
-                    f"weights:{layer_mapping.layer.name}",
-                )
-            yield weights_ready[index]
-            if self.obs is not None:
-                self.obs.end(self.obs_track)
-            # Prefetch the next layer's weights concurrently.
-            if index + 1 < len(layers):
-                weights_ready[index + 1] = self._fetch_weights(
-                    layers[index + 1]
-                )
-
-            # Input activations: one multicast read to all host chiplets.
-            # Layer-major batching: the whole batch's activations stream
-            # while the layer's weights stay resident (fetched once).
-            input_done = self.fabric.read(
-                layer_mapping.chiplet_ids[0],
-                layer_mapping.layer.input_bits * self.batch_size,
-                multicast=layer_mapping.chiplet_ids,
+    def _await_weights(self) -> None:
+        """Start layer ``_index``: wait for its weight barrier."""
+        self._start_s = self.env._now
+        if self.obs is not None:
+            self.obs.begin(
+                self.obs_track,
+                f"weights:{self._layers[self._index].layer.name}",
             )
+        _wait(self._weights, self._weights_ready)
 
-            input_ready_holder = [0.0]
-            compute_done_holder = [0.0]
-            chiplet_events = [
-                self.env.process(
-                    self._chiplet_proc(
-                        alloc, input_done, input_ready_holder,
-                        compute_done_holder
-                    )
-                )
-                for alloc in layer_mapping.allocations
-            ]
-            if self.obs is not None:
-                self.obs.begin(
-                    self.obs_track,
-                    f"layer:{layer_mapping.layer.name}",
-                    args={"chiplets": len(layer_mapping.allocations)},
-                )
-            yield self.env.all_of(chiplet_events)
-            if self.obs is not None:
-                self.obs.end(self.obs_track)
-
-            if self.record_timings:
-                self.trace.layer_timings.append(
-                    LayerTiming(
-                        name=layer_mapping.layer.name,
-                        start_s=start,
-                        input_ready_s=input_ready_holder[0],
-                        compute_done_s=compute_done_holder[0],
-                        end_s=self.env.now,
-                        chiplets=layer_mapping.chiplet_ids,
-                        vector_ops=layer_mapping.total_vector_ops,
-                    )
-                )
-
-    def _chiplet_proc(self, alloc, input_done: Event, input_ready_holder,
-                      compute_done_holder):
-        """One chiplet's share: wait for data, compute, write back."""
-        compute_s = (
-            alloc.vector_ops * self.batch_size
-            / (alloc.n_macs * self.mac_rate_hz)
+    def _weights_ready(self, _event: Event | None = None) -> None:
+        """Prefetch the next weights, read the inputs, start the shares."""
+        obs = self.obs
+        if obs is not None:
+            obs.end(self.obs_track)
+        layers = self._layers
+        index = self._index
+        # Prefetch the next layer's weights concurrently.
+        if index + 1 < len(layers):
+            self._weights = self._fetch_weights(layers[index + 1])
+        layer_mapping = layers[index]
+        # Input activations: one multicast read to all host chiplets.
+        # Layer-major batching: the whole batch's activations stream
+        # while the layer's weights stay resident (fetched once).
+        chiplet_ids = self._chiplet_ids = layer_mapping.chiplet_ids
+        input_done = self.fabric.read(
+            chiplet_ids[0],
+            layer_mapping.layer.input_bits * self.batch_size,
+            multicast=chiplet_ids,
         )
-        if self.compute is not None and self.compute.mac_fraction < 1.0:
-            # Compute-side hazard: the MAC arrays sustain only a
-            # fraction of nominal throughput while degraded.
-            compute_s /= self.compute.mac_fraction
-        if self.compute is not None:
-            # Concurrent-request mode: the chiplet's MAC array works on
-            # one request's layer share at a time.  The occupancy spans
-            # the streaming window (max of input arrival and compute),
-            # the same interval the one-request timeline attributes to
-            # the chiplet.
-            occupancy = self.compute.resource(alloc.chiplet_id)
-            yield occupancy.request()
-            yield self.env.timeout(compute_s)
-            if not input_done.processed:
-                yield input_done
-            occupancy.release()
+        self._ready_s = 0.0
+        allocations = layer_mapping.allocations
+        shares = [
+            _ChipletShare(self, alloc, input_done) for alloc in allocations
+        ]
+        if obs is not None:
+            obs.begin(
+                self.obs_track,
+                f"layer:{layer_mapping.layer.name}",
+                args={"chiplets": len(allocations)},
+            )
+        # A fresh barrier: this is its only waiter.
+        AllOf(self.env, shares).callbacks = self._layer_done
+
+    def _layer_done(self, _event: Event) -> None:
+        """Every share finished: record the layer, then go on."""
+        if self.obs is not None:
+            self.obs.end(self.obs_track)
+        index = self._index
+        if self.record_timings:
+            layer_mapping = self._layers[index]
+            ready_s = self._ready_s
+            self.trace.layer_timings.append(
+                LayerTiming(
+                    name=layer_mapping.layer.name,
+                    start_s=self._start_s,
+                    input_ready_s=ready_s,
+                    compute_done_s=ready_s,
+                    end_s=self.env._now,
+                    chiplets=self._chiplet_ids,
+                    vector_ops=layer_mapping.total_vector_ops,
+                )
+            )
+        index += 1
+        if index < len(self._layers):
+            self._index = index
+            self._await_weights()
         else:
+            self._done.succeed()
+
+
+class _ChipletShare(Event):
+    """One chiplet's share of a layer: wait for data, compute, write back.
+
+    An event that succeeds when the share is done, so the layer's
+    :class:`AllOf` barrier waits on the shares themselves.  Its chain:
+
+    * created: a bootstrap hop through the immediate FIFO;
+    * bootstrap: the compute time, from the MAC fraction in force *now*;
+      with a :class:`ComputeOccupancy`, request the chiplet's MAC array
+      and compute once granted; without one, compute straight away;
+    * compute done: wait for the input stream unless it has already
+      arrived (then carry on synchronously);
+    * input ready: release the MAC array, note the layer's ready time,
+      count the lane and vector operations, then write the outputs back
+      and succeed once they land (at once for a zero-bit output).
+    """
+
+    __slots__ = ("execution", "alloc", "input_done", "compute_s",
+                 "occupancy")
+
+    def __init__(self, execution: RequestExecution, alloc,
+                 input_done: Event):
+        # Event's fields set inline, as Timeout does: no extra frame.
+        env = self.env = execution.env
+        self.callbacks = None
+        self._triggered = False
+        self._processed = False
+        self._value = None
+        self.execution = execution
+        self.alloc = alloc
+        self.input_done = input_done
+        self.occupancy = None
+        env.call_soon(self._bootstrap)
+
+    def _bootstrap(self) -> None:
+        execution = self.execution
+        alloc = self.alloc
+        compute_s = (
+            alloc.vector_ops * execution.batch_size
+            / (alloc.n_macs * execution.mac_rate_hz)
+        )
+        compute = execution.compute
+        if compute is None:
             # Streaming: compute completes when both its own duration
             # has elapsed and the input stream has fully arrived.
-            yield self.env.timeout(compute_s)
-            if not input_done.processed:
-                yield input_done
-        input_ready_holder[0] = max(input_ready_holder[0], self.env.now)
-        compute_done_holder[0] = max(compute_done_holder[0], self.env.now)
+            self.env.timeout(compute_s).callbacks = self._computed
+            return
+        if compute.mac_fraction < 1.0:
+            # Compute-side hazard: the MAC arrays sustain only a
+            # fraction of nominal throughput while degraded.
+            compute_s /= compute.mac_fraction
+        # Concurrent-request mode: the chiplet's MAC array works on one
+        # request's layer share at a time.  The occupancy spans the
+        # streaming window (max of input arrival and compute), the same
+        # interval the one-request timeline attributes to the chiplet.
+        self.compute_s = compute_s
+        occupancy = self.occupancy = compute.resource(alloc.chiplet_id)
+        occupancy.request().callbacks = self._granted
+
+    def _granted(self, _event: Event) -> None:
+        self.env.timeout(self.compute_s).callbacks = self._computed
+
+    def _computed(self, _event: Event) -> None:
+        input_done = self.input_done
+        if input_done._processed:
+            self._input_ready()
+        else:
+            input_done._add_callback(self._input_ready)
+
+    def _input_ready(self, _event: Event | None = None) -> None:
+        if self.occupancy is not None:
+            self.occupancy.release()
+        execution = self.execution
+        now = self.env._now
+        if now > execution._ready_s:
+            execution._ready_s = now
+        alloc = self.alloc
+        batch_size = execution.batch_size
         kind = alloc.kind
-        self.trace.lane_ops_by_kind[kind] = (
-            self.trace.lane_ops_by_kind.get(kind, 0)
-            + alloc.lane_ops * self.batch_size
-        )
-        self.trace.vector_ops_by_kind[kind] = (
-            self.trace.vector_ops_by_kind.get(kind, 0)
-            + alloc.vector_ops * self.batch_size
+        trace = execution.trace
+        lane_ops = trace.lane_ops_by_kind
+        lane_ops[kind] = lane_ops.get(kind, 0) + alloc.lane_ops * batch_size
+        vector_ops = trace.vector_ops_by_kind
+        vector_ops[kind] = (
+            vector_ops.get(kind, 0) + alloc.vector_ops * batch_size
         )
         if alloc.output_bits > 0:
-            yield self.fabric.write(
-                alloc.chiplet_id, alloc.output_bits * self.batch_size
+            _wait(
+                execution.fabric.write(
+                    alloc.chiplet_id, alloc.output_bits * batch_size
+                ),
+                self._written,
             )
+        else:
+            self.succeed()
+
+    def _written(self, _event: Event | None = None) -> None:
+        self.succeed()
 
 
 class InferenceEngine:
@@ -319,7 +428,7 @@ class InferenceEngine:
 
     Thin wrapper over :class:`RequestExecution` kept for the classic
     single-inference experiments; results are bit-identical to running
-    the execution directly (it is the same process body).
+    the execution directly (it is the same callback chain).
     """
 
     def __init__(

@@ -101,8 +101,12 @@ class _ChunkRelay:
         if self.deliver is not None:
             self.deliver(chunk)
         self.remaining -= 1
-        if self.remaining == 0 and self.on_complete is not None:
-            self.on_complete()
+        if self.remaining == 0:
+            # Drained: drop the bound method, the relay's only
+            # reference back to itself.
+            self._advance_cb = None
+            if self.on_complete is not None:
+                self.on_complete()
 
 
 def _reader_done(monitor, destination: str, bits: float, destination_done):
@@ -225,6 +229,10 @@ class PhotonicInterposerFabric(InterposerFabric):
         delivered); capacity increases only take effect once the PCM
         cells have been re-amorphised (~1 us), so a demand spike pays one
         epoch of lag — the ReSiPI behaviour.
+
+        A deferred write is a two-step callback chain: a bootstrap hop
+        through the immediate FIFO, whose firing pushes the switching
+        timeout.  Nothing waits on its completion, so it signals none.
         """
         if self._settled(channel, target_bps):
             # Already at (and settled on) this rate: re-asserting it is
@@ -236,13 +244,18 @@ class PhotonicInterposerFabric(InterposerFabric):
             channel.set_bandwidth(target_bps)
             return
 
-        def deferred():
-            yield self.env.timeout(ph.PCMC_SWITCHING_TIME_S)
+        env = self.env
+        desired = self._desired_bandwidth
+
+        def switched(_event):
             # A newer decision may have superseded this one.
-            if self._desired_bandwidth.get(channel.name) == target_bps:
+            if desired.get(channel.name) == target_bps:
                 channel.set_bandwidth(target_bps)
 
-        self.env.process(deferred())
+        def switch():
+            env.timeout(ph.PCMC_SWITCHING_TIME_S).callbacks = switched
+
+        env.call_soon(switch)
 
     def set_active_memory_gateways(self, count: int) -> None:
         """Rescale the memory-side SWMR write capacity."""

@@ -22,7 +22,12 @@ experiment matrix, so it is tuned):
   same-time heap entries, so ordering is exactly the seed kernel's
   (time, insertion-order) contract;
 * a :class:`Process` never allocates bootstrap/resume ``Event`` objects:
-  one reusable :class:`_Resume` per process carries the pending value;
+  one reusable :class:`_Resume` per process carries the pending value,
+  and a returning process drops its self-references, so a finished
+  process is no longer a reference cycle;
+* callback chains that need no generator frame (the engine's layer
+  loop and chiplet shares, PCMC-deferred writes) hop through the
+  immediate FIFO with :meth:`Environment.call_soon`;
 * the run loops record their time bound (:attr:`Environment.bound`), so
   a perpetual process that knows nothing can fire before the next queued
   event may skip its own no-op wake-ups and reschedule itself at the
@@ -154,6 +159,23 @@ class _Resume:
         self.process._step(self)
 
 
+class _Call:
+    """Immediate-FIFO token that runs a bare callable when it fires.
+
+    Pushed by :meth:`Environment.call_soon`.  It holds only ``fn``; an
+    owner that pushes one of its bound methods must not keep the token,
+    or the two would form a reference cycle.
+    """
+
+    __slots__ = ("fn",)
+
+    def _fire(self) -> None:
+        self.fn()
+
+
+_call_new = _Call.__new__
+
+
 class Process(Event):
     """A running generator coroutine; itself an event that fires on return.
 
@@ -179,6 +201,10 @@ class Process(Event):
         try:
             target = self._generator.send(event._value)
         except StopIteration as stop:
+            # Nothing resumes a returned process: drop the bound step
+            # and the resume token, the two references back to itself.
+            self._step_callback = None
+            self._resume = None
             if not self._triggered:
                 self.succeed(stop.value)
             return
@@ -214,11 +240,14 @@ class AllOf(Event):
         if self._pending == 0:
             self.succeed([])
             return
+        on_child = self._on_child  # bind once for every child
         for event in self._events:
             if event._processed:
-                self._on_child(event)
+                on_child(event)
+            elif event.callbacks is None:
+                event.callbacks = on_child
             else:
-                event._add_callback(self._on_child)
+                event._add_callback(on_child)
 
     def _on_child(self, _: Event) -> None:
         self._pending -= 1
@@ -296,12 +325,12 @@ class Environment:
         return self._bound
 
     # NOTE: there is deliberately no generic _schedule() helper — the
-    # scheduling sites (succeed, Timeout, timeout(), timeout_at(), the
-    # channel grants of sim/resources.py) inline the immediate-vs-heap
-    # dispatch because the call overhead is measurable at event rates.
-    # New scheduling paths must follow the same pattern: bump
-    # _sequence, then append to _immediate for zero delay or heap-push
-    # (fire_time, seq, event) otherwise.
+    # scheduling sites (succeed, Timeout, timeout(), timeout_at(),
+    # call_soon(), the channel grants of sim/resources.py) inline the
+    # immediate-vs-heap dispatch because the call overhead is measurable
+    # at event rates.  New scheduling paths must follow the same
+    # pattern: bump _sequence, then append to _immediate for zero delay
+    # or heap-push (fire_time, seq, event) otherwise.
 
     # -- factories ------------------------------------------------------------
 
@@ -352,6 +381,19 @@ class Environment:
         else:
             _heappush(self._queue, (at, seq, event))
         return event
+
+    def call_soon(self, fn: Callable[[], None]) -> None:
+        """Run ``fn()`` now, after everything already scheduled for now.
+
+        One scheduling operation, exactly like a process bootstrap or a
+        resume on an already-fired event: it takes the next sequence
+        number and enters the immediate FIFO.  Callback chains use it
+        where a generator process would have made that hop.
+        """
+        call = _call_new(_Call)  # no __init__ frame, as in timeout()
+        call.fn = fn
+        seq = self._sequence = self._sequence + 1
+        self._immediate.append((seq, call))
 
     def process(self, generator: Generator[Event, Any, Any]) -> Process:
         """Start a process from a generator coroutine."""

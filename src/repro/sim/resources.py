@@ -81,7 +81,7 @@ class Resource:
 
     def _grant(self, event: Event) -> None:
         if self._in_use == 0:
-            self._busy_since = self.env.now
+            self._busy_since = self.env._now
         self._in_use += 1
         event.succeed()
 
@@ -91,7 +91,7 @@ class Resource:
             raise SimulationError("release() without a matching request()")
         self._in_use -= 1
         if self._in_use == 0 and self._busy_since is not None:
-            self._busy_time += self.env.now - self._busy_since
+            self._busy_time += self.env._now - self._busy_since
             self._busy_since = None
         if self._waiting:
             self._grant(self._waiting.popleft())

@@ -1,14 +1,32 @@
 """DES inference engine semantics: overlap, streaming, tracing."""
 
+import gc
+import json
+import weakref
+from pathlib import Path
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.config import DEFAULT_PLATFORM
 from repro.core.crosslight import MonolithicFabric, monolithic_mapping
-from repro.core.engine import InferenceEngine
+from repro.core.engine import (
+    ComputeOccupancy,
+    ExecutionTrace,
+    InferenceEngine,
+    RequestExecution,
+)
+from repro.core.metrics import LayerTiming
 from repro.dnn import zoo
 from repro.dnn.workload import LayerWorkload, extract_workload
 from repro.errors import SimulationError
-from repro.interposer.photonic.fabric import PhotonicInterposerFabric
+from repro.experiments.serving_study import simulate_any_serving_cell
+from repro.interposer.photonic import fabric as fabric_module
+from repro.interposer.photonic.fabric import (
+    PhotonicInterposerFabric,
+    _ChunkRelay,
+)
 from repro.interposer.topology import build_floorplan
 from repro.mapping.mapper import (
     Allocation,
@@ -16,8 +34,13 @@ from repro.mapping.mapper import (
     LayerMapping,
     ModelMapping,
 )
+from repro.mapping.residency import WeightResidency
 from repro.mapping.tiling import TilingResult
-from repro.sim.core import Environment
+from repro.obs.trace import TraceRecorder
+from repro.serving import scheduler as scheduler_module
+from repro.sim.core import Environment, Process
+from repro.sim.resources import BandwidthChannel, Resource
+from repro.studies import StudySpec, lower_study
 
 
 def synthetic_mapping(n_layers=3, vector_ops=1_000_000, weight_bits=1e6,
@@ -135,3 +158,424 @@ class TestAgainstRealWorkload:
         # All traffic accounted: weights + inputs + outputs reached fabric.
         total_weights = sum(layer.weight_bits for layer in workload)
         assert fabric.bits_read >= total_weights
+
+
+# ---------------------------------------------------------------------------
+# Exactness of the callback chains against the process construction.
+# ---------------------------------------------------------------------------
+
+CHIPLETS = tuple(
+    site.chiplet_id
+    for site in build_floorplan(DEFAULT_PLATFORM).compute_sites
+)
+SLOT_S = 0.5e-6
+"""Launch times are multiples of this, so many executions start together."""
+
+
+class GeneratorExecution(RequestExecution):
+    """The construction the callback chains replace: one generator
+    process per execution and one per chiplet share of a layer."""
+
+    def start(self):
+        return self.env.process(self._run_proc())
+
+    def _run_proc(self):
+        layers = list(self.mapping)
+        if not layers:
+            return
+        weights_ready = [None] * len(layers)
+        weights_ready[0] = self._fetch_weights(layers[0])
+
+        for index, layer_mapping in enumerate(layers):
+            start = self.env.now
+            if self.obs is not None:
+                self.obs.begin(
+                    self.obs_track,
+                    f"weights:{layer_mapping.layer.name}",
+                )
+            yield weights_ready[index]
+            if self.obs is not None:
+                self.obs.end(self.obs_track)
+            if index + 1 < len(layers):
+                weights_ready[index + 1] = self._fetch_weights(
+                    layers[index + 1]
+                )
+            input_done = self.fabric.read(
+                layer_mapping.chiplet_ids[0],
+                layer_mapping.layer.input_bits * self.batch_size,
+                multicast=layer_mapping.chiplet_ids,
+            )
+            input_ready_holder = [0.0]
+            compute_done_holder = [0.0]
+            chiplet_events = [
+                self.env.process(
+                    self._chiplet_proc(
+                        alloc, input_done, input_ready_holder,
+                        compute_done_holder
+                    )
+                )
+                for alloc in layer_mapping.allocations
+            ]
+            if self.obs is not None:
+                self.obs.begin(
+                    self.obs_track,
+                    f"layer:{layer_mapping.layer.name}",
+                    args={"chiplets": len(layer_mapping.allocations)},
+                )
+            yield self.env.all_of(chiplet_events)
+            if self.obs is not None:
+                self.obs.end(self.obs_track)
+            if self.record_timings:
+                self.trace.layer_timings.append(
+                    LayerTiming(
+                        name=layer_mapping.layer.name,
+                        start_s=start,
+                        input_ready_s=input_ready_holder[0],
+                        compute_done_s=compute_done_holder[0],
+                        end_s=self.env.now,
+                        chiplets=layer_mapping.chiplet_ids,
+                        vector_ops=layer_mapping.total_vector_ops,
+                    )
+                )
+
+    def _chiplet_proc(self, alloc, input_done, input_ready_holder,
+                      compute_done_holder):
+        compute_s = (
+            alloc.vector_ops * self.batch_size
+            / (alloc.n_macs * self.mac_rate_hz)
+        )
+        if self.compute is not None and self.compute.mac_fraction < 1.0:
+            compute_s /= self.compute.mac_fraction
+        if self.compute is not None:
+            occupancy = self.compute.resource(alloc.chiplet_id)
+            yield occupancy.request()
+            yield self.env.timeout(compute_s)
+            if not input_done.processed:
+                yield input_done
+            occupancy.release()
+        else:
+            yield self.env.timeout(compute_s)
+            if not input_done.processed:
+                yield input_done
+        input_ready_holder[0] = max(input_ready_holder[0], self.env.now)
+        compute_done_holder[0] = max(compute_done_holder[0], self.env.now)
+        kind = alloc.kind
+        self.trace.lane_ops_by_kind[kind] = (
+            self.trace.lane_ops_by_kind.get(kind, 0)
+            + alloc.lane_ops * self.batch_size
+        )
+        self.trace.vector_ops_by_kind[kind] = (
+            self.trace.vector_ops_by_kind.get(kind, 0)
+            + alloc.vector_ops * self.batch_size
+        )
+        if alloc.output_bits > 0:
+            yield self.fabric.write(
+                alloc.chiplet_id, alloc.output_bits * self.batch_size
+            )
+
+
+def layered_mapping(layers):
+    """A mapping over the photonic chiplets.
+
+    ``layers`` lists, per layer, ``(input_bits, shares)``; each share is
+    ``(chiplet index, vector_ops, weight_bits, output_bits)``.
+    """
+    mapped = []
+    for index, (input_bits, shares) in enumerate(layers):
+        allocations = tuple(
+            Allocation(
+                chiplet_id=CHIPLETS[chiplet], kind=f"k{chiplet % 3}",
+                n_macs=16, vector_length=8, vector_ops=vector_ops,
+                weight_bits=weight_bits, output_bits=output_bits,
+            )
+            for chiplet, vector_ops, weight_bits, output_bits in shares
+        )
+        workload = LayerWorkload(
+            index=index, name=f"l{index}", kind="Conv2D", kernel_size=3,
+            dot_length=9, n_dots=1, macs=9, input_bits=input_bits,
+            weight_bits=sum(alloc.weight_bits for alloc in allocations),
+            output_bits=sum(alloc.output_bits for alloc in allocations),
+        )
+        mapped.append(LayerMapping(
+            layer=workload, allocations=allocations,
+            tiling=TilingResult(1, "spatial", 1.0),
+        ))
+    return ModelMapping(workload=None, layers=tuple(mapped))
+
+
+def play_executions(cls, models, launches, mac_changes, use_compute=True,
+                    resident=True, armed=False):
+    """Run ``launches`` of ``models`` with engine class ``cls``.
+
+    ``launches`` are ``(slot, model, batch)``; ``mac_changes`` are
+    ``(slot, hops, fraction)``: the MAC fraction changes ``hops``
+    immediate-FIFO hops after the slot's launches.  Returns everything
+    observable: the kernel log of channel requests and completions,
+    occupancy requests and execution completions as
+    ``(what, now, sequence)``, plus layer timings, operation counters,
+    completion records and telemetry spans.
+    """
+    env = Environment()
+    fabric = PhotonicInterposerFabric(
+        env, DEFAULT_PLATFORM, build_floorplan(DEFAULT_PLATFORM)
+    )
+    trace = ExecutionTrace()
+    compute = ComputeOccupancy(env) if use_compute else None
+    residency = WeightResidency(env) if resident else None
+    obs = TraceRecorder(env) if armed else None
+    log = []
+    records = []
+
+    def note(what):
+        log.append((what, env._now, env._sequence))
+
+    request_transfer = BandwidthChannel.request_transfer
+    request = Resource.request
+
+    def logged_transfer(channel, bits, fn):
+        note(("transfer", channel.name, bits))
+
+        def landed():
+            note(("landed", channel.name, bits))
+            fn()
+
+        request_transfer(channel, bits, landed)
+
+    def logged_request(resource):
+        note("occupancy")
+        return request(resource)
+
+    def launch(number, model, batch):
+        execution = cls(
+            env, DEFAULT_PLATFORM, fabric, models[model], trace,
+            batch_size=batch, residency=residency, compute=compute,
+            model_name=f"m{model}", obs=obs, obs_track=f"r{number}",
+        )
+
+        def finished(_event):
+            note(("done", number))
+            records.append((number, env._now))
+
+        execution.start()._add_callback(finished)
+
+    def change_mac(hops, fraction):
+        if hops:
+            env.call_soon(lambda: change_mac(hops - 1, fraction))
+        else:
+            compute.set_mac_fraction(fraction)
+
+    slots = sorted({slot for slot, _, _ in launches}
+                   | {slot for slot, _, _ in mac_changes})
+
+    def fire_slot(slot):
+        def fire(_event):
+            for number, (at, model, batch) in enumerate(launches):
+                if at == slot:
+                    launch(number, model, batch)
+            for at, hops, fraction in mac_changes:
+                if at == slot and compute is not None:
+                    change_mac(hops, fraction)
+        return fire
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(BandwidthChannel, "request_transfer", logged_transfer)
+        patch.setattr(Resource, "request", logged_request)
+        for slot in slots:
+            env.timeout(slot * SLOT_S).callbacks = fire_slot(slot)
+        env.run()
+    note("end")
+    return {
+        "log": log,
+        "timings": trace.layer_timings,
+        "lane_ops": list(trace.lane_ops_by_kind.items()),
+        "vector_ops": list(trace.vector_ops_by_kind.items()),
+        "records": records,
+        "spans": obs.spans if obs is not None else None,
+        "utilization": (
+            [compute.utilization(chiplet) for chiplet in CHIPLETS]
+            if compute is not None else None
+        ),
+    }
+
+
+share_st = st.tuples(
+    st.integers(0, len(CHIPLETS) - 1),
+    st.sampled_from([0, 1, 4_000, 60_000]),
+    st.sampled_from([0, 1e3, 200e3, 600e3]),
+    st.sampled_from([0, 1e3, 100e3, 300e3]),
+)
+layer_st = st.tuples(
+    st.sampled_from([0, 8e3, 100e3, 400e3]),
+    st.lists(share_st, min_size=1, max_size=3,
+             unique_by=lambda share: share[0]),
+)
+model_st = st.lists(layer_st, min_size=0, max_size=3)
+launch_st = st.tuples(st.integers(0, 6), st.integers(0, 2),
+                      st.integers(1, 3))
+mac_change_st = st.tuples(st.integers(0, 6), st.integers(0, 4),
+                          st.sampled_from([0.25, 0.5, 1.0]))
+
+# Model 0: a layer with a share on chiplet 0 and a zero-output share on
+# chiplet 1; model 1 contends for chiplet 0; model 2 is empty.  The
+# first example launches them together (with armed spans), then model 0
+# again on resident weights, with a MAC change two hops later: between
+# share creation and share bootstrap.  The second runs without
+# occupancy or residency.
+CONTENDED = [[(8e3, [(0, 4_000, 1e3, 1e3), (1, 60_000, 0, 0)])],
+             [(8e3, [(0, 4_000, 1e3, 1e3)]), (8e3, [(2, 1, 0, 1e3)])],
+             []]
+
+
+class TestCallbackChainExactness:
+    """Every scheduling operation at the same time and sequence number
+    as the generator processes, so records cannot drift."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(model_st, min_size=3, max_size=3),
+        st.lists(launch_st, min_size=1, max_size=8),
+        st.lists(mac_change_st, max_size=3),
+        st.booleans(), st.booleans(), st.booleans(),
+    )
+    @example(CONTENDED, [(0, 0, 1), (0, 0, 2), (0, 1, 1), (4, 0, 1)],
+             [(4, 2, 0.5)], True, True, True)
+    @example(CONTENDED, [(0, 0, 1), (0, 2, 1), (1, 1, 2)], [],
+             False, False, False)
+    def test_matches_generator_processes(self, models, launches,
+                                         mac_changes, use_compute,
+                                         resident, armed):
+        models = [layered_mapping(layers) for layers in models]
+        args = (models, launches, mac_changes, use_compute, resident,
+                armed)
+        chains = play_executions(RequestExecution, *args)
+        processes = play_executions(GeneratorExecution, *args)
+        assert chains == processes
+
+    def test_mac_change_between_creation_and_bootstrap(self):
+        """A MAC change two hops after a launch on resident weights
+        lands after the shares exist but before they bootstrap; the
+        share reads the fraction at bootstrap, as the process did."""
+        models = [layered_mapping([(0, [(0, 64_000, 1e3, 0)])])]
+        launches = [(0, 0, 1), (20, 0, 1)]
+        timings = {}
+        for hops in (1, 2, 3):
+            result = play_executions(RequestExecution, models, launches,
+                                     [(20, hops, 0.5)])
+            assert result == play_executions(
+                GeneratorExecution, models, launches, [(20, hops, 0.5)]
+            )
+            timing = result["timings"][1]
+            timings[hops] = timing.compute_done_s - timing.start_s
+        nominal = 64_000 / (16 * DEFAULT_PLATFORM.mac_rate_hz)
+        # One hop: changed before the shares exist.  Two: after their
+        # creation, before their bootstrap.  Three: too late.
+        assert timings[1] == pytest.approx(2 * nominal)
+        assert timings[2] == pytest.approx(2 * nominal)
+        assert timings[3] == pytest.approx(nominal)
+
+    def test_no_process_per_execution_or_share(self, monkeypatch):
+        created = []
+        original = Process.__init__
+
+        def init(self, env, generator):
+            created.append(generator.__name__)
+            original(self, env, generator)
+
+        monkeypatch.setattr(Process, "__init__", init)
+        models = [layered_mapping([(8e3, [(0, 4_000, 1e3, 1e3),
+                                          (1, 4_000, 1e3, 1e3)])] * 3)]
+        play_executions(RequestExecution, models, [(0, 0, 1), (0, 0, 2)], [])
+        assert created == []
+
+
+class TestServingRecordsUnchanged:
+    """A whole serving study (armed telemetry, ReSiPI, continuous
+    arrivals) gives the same records, spans and kernel sequence count
+    with either construction."""
+
+    def test_telemetry_example(self):
+        examples = Path(__file__).resolve().parent.parent / "examples"
+        data = json.loads((examples / "telemetry_spec.json").read_text())
+
+        def run(cls):
+            built = []
+            envs = []
+            scheduler_init = scheduler_module.RequestScheduler.__init__
+            environment_init = Environment.__init__
+
+            def init_scheduler(self, *args, **kwargs):
+                scheduler_init(self, *args, **kwargs)
+                built.append(self)
+
+            def init_environment(self):
+                environment_init(self)
+                envs.append(self)
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(scheduler_module, "RequestExecution", cls)
+                patch.setattr(scheduler_module.RequestScheduler, "__init__",
+                              init_scheduler)
+                patch.setattr(Environment, "__init__", init_environment)
+                _, cells = lower_study(StudySpec.from_dict(data))
+                spans = [
+                    simulate_any_serving_cell(cell).telemetry.span_count
+                    for group in cells for cell in group
+                ]
+            return ([repr(scheduler.records) for scheduler in built],
+                    [env._sequence for env in envs], spans)
+
+        chains = run(RequestExecution)
+        assert chains == run(GeneratorExecution)
+        assert chains[0] and all(chains[2])
+
+
+class TestNoCyclicGarbage:
+    """Finished kernel, engine and fabric objects hold no reference
+    cycle, so reference counting frees them without the collector."""
+
+    def test_freed_with_the_collector_off(self, monkeypatch):
+        relays = []
+
+        class TrackedRelay(_ChunkRelay):
+            def __init__(self, *args):
+                super().__init__(*args)
+                relays.append(weakref.ref(self))
+
+        class TrackedProcess(Process):
+            pass
+
+        class TrackedExecution(RequestExecution):
+            pass
+
+        def driver(execution):
+            yield execution.start()
+
+        monkeypatch.setattr(fabric_module, "_ChunkRelay", TrackedRelay)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            env = Environment()
+            fabric = PhotonicInterposerFabric(
+                env, DEFAULT_PLATFORM, build_floorplan(DEFAULT_PLATFORM)
+            )
+            # Multi-chunk weights, inputs and outputs: relays on every
+            # stage of both transfer directions.
+            mapping = layered_mapping(
+                [(400e3, [(0, 4_000, 600e3, 300e3),
+                          (1, 4_000, 600e3, 300e3)])] * 2
+            )
+            execution = TrackedExecution(
+                env, DEFAULT_PLATFORM, fabric, mapping, ExecutionTrace(),
+                compute=ComputeOccupancy(env),
+            )
+            process = TrackedProcess(env, driver(execution))
+            refs = [weakref.ref(process), weakref.ref(execution)]
+            env.run()
+            assert process.processed
+            assert relays
+            del process, execution
+            alive = [ref for ref in refs + relays if ref() is not None]
+            assert alive == []
+        finally:
+            if enabled:
+                gc.enable()

@@ -16,7 +16,9 @@ from repro.interposer.photonic.links import (
     worst_case_write_budget,
 )
 from repro.interposer.topology import build_floorplan
+from repro.photonics.constants import PCMC_SWITCHING_TIME_S
 from repro.sim.core import Environment
+from repro.sim.resources import BandwidthChannel
 
 
 CHUNK_BITS = 256 * 1024
@@ -395,6 +397,65 @@ class TestReconfiguration:
             fabric.set_wavelength_fraction(0.0)
         with pytest.raises(ConfigurationError):
             fabric.set_wavelength_fraction(1.5)
+
+
+class ProcessPcmcFabric(PhotonicInterposerFabric):
+    """Defers gateway increases with the generator process that the
+    fabric's two-step callback chain replaces."""
+
+    def _apply_bandwidth(self, channel, target_bps, increase):
+        if self._settled(channel, target_bps):
+            return
+        self._desired_bandwidth[channel.name] = target_bps
+        if not increase:
+            channel.set_bandwidth(target_bps)
+            return
+
+        def deferred():
+            yield self.env.timeout(PCMC_SWITCHING_TIME_S)
+            if self._desired_bandwidth.get(channel.name) == target_bps:
+                channel.set_bandwidth(target_bps)
+
+        self.env.process(deferred())
+
+
+class TestPcmcWriteChain:
+    """PCMC-deferred writes land at the same time and in the same order
+    as the process did; only its unwaited completion event is gone."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(messages, max_size=8),
+           st.lists(bandwidth_changes, min_size=1, max_size=4))
+    def test_matches_the_deferred_process(self, script, changes):
+        chain = play(PhotonicInterposerFabric, script, changes)
+        assert chain == play(ProcessPcmcFabric, script, changes)
+
+    def test_one_kernel_event_fewer_per_write(self, monkeypatch):
+        def run(cls):
+            env, fabric = make_fabric(cls=cls)
+            log = []
+            set_bandwidth = BandwidthChannel.set_bandwidth
+
+            def logged(channel, bps):
+                log.append((channel.name, bps, env.now))
+                set_bandwidth(channel, bps)
+
+            monkeypatch.setattr(BandwidthChannel, "set_bandwidth", logged)
+            fabric.set_active_memory_gateways(1)
+            fabric.set_active_chiplet_gateways(CHIPLETS[0], 1, 1)
+            fabric.read(CHIPLETS[0], CHUNK_BITS)
+            fabric.set_active_memory_gateways(4)   # deferred
+            fabric.set_active_chiplet_gateways(CHIPLETS[0], 2, 2)  # two
+            env.run(until=0.5 * PCMC_SWITCHING_TIME_S)
+            fabric.set_active_memory_gateways(8)   # deferred, supersedes
+            env.run()
+            monkeypatch.undo()
+            return log, env.now, env._sequence
+
+        chain_log, chain_end, chain_events = run(PhotonicInterposerFabric)
+        log, end, events = run(ProcessPcmcFabric)
+        assert (chain_log, chain_end) == (log, end)
+        assert events - chain_events == 4
 
 
 class TestEnergy:
