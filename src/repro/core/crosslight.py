@@ -12,16 +12,17 @@ one large die:
 
 The fabric below plugs into the same :class:`InferenceEngine`; a
 single-pseudo-chiplet mapping puts every layer on the whole VDP array.
+Each message is one :class:`~repro.interposer.base.ChunkStage`: its
+chunks stream one at a time through the NoC or the DRAM channel.
 """
 
 from __future__ import annotations
-
-import math
 
 from ..config import PlatformConfig
 from ..dnn.workload import InferenceWorkload
 from ..interposer.base import (
     DEFAULT_CHUNK_BITS,
+    ChunkStage,
     InterposerFabric,
     NetworkEnergyReport,
 )
@@ -56,32 +57,31 @@ class MonolithicFabric(InterposerFabric):
         yield self.noc_channel
         yield self.dram_channel
 
-    def _chunks(self, bits: float) -> list[float]:
-        if bits <= 0:
-            return []
-        full, remainder = divmod(bits, self.chunk_bits)
-        chunks = [self.chunk_bits] * int(full)
-        if remainder > 0:
-            chunks.append(remainder)
-        return chunks
-
-    def _stream(self, channel: BandwidthChannel, bits: float):
-        for chunk in self._chunks(bits):
-            yield self.env.process(channel.transfer(chunk))
+    def _stream(self, channel: BandwidthChannel, bits: float) -> Event:
+        """One message through ``channel``: a bootstrap hop, then its
+        chunks one after another; an empty one ends one hop later."""
+        env = self.env
+        done = Event(env)
+        chunks = self._chunks(bits)
+        if chunks:
+            env.call_soon(ChunkStage(env, channel, chunks, done=done).start)
+        else:
+            env.call_soon(done.succeed)
+        return done
 
     def read(self, dst_chiplet: str, bits: float,
              multicast: tuple[str, ...] | None = None) -> Event:
         # On-die broadcast is native: multicast costs one stream.
         self.bits_read += bits
-        return self.env.process(self._stream(self.noc_channel, bits))
+        return self._stream(self.noc_channel, bits)
 
     def write(self, src_chiplet: str, bits: float) -> Event:
         self.bits_written += bits
-        return self.env.process(self._stream(self.noc_channel, bits))
+        return self._stream(self.noc_channel, bits)
 
     def read_weights(self, dst_chiplet: str, bits: float) -> Event:
         self.weight_bits_moved += bits
-        return self.env.process(self._stream(self.dram_channel, bits))
+        return self._stream(self.dram_channel, bits)
 
     @property
     def total_bits_moved(self) -> float:

@@ -178,8 +178,8 @@ class RequestExecution:
         "env", "config", "fabric", "mapping", "trace", "mac_rate_hz",
         "batch_size", "residency", "compute", "model_name",
         "record_timings", "obs", "obs_track",
-        "_done", "_layers", "_index", "_weights", "_start_s", "_ready_s",
-        "_chiplet_ids",
+        "_done", "_layers", "_index", "_weights", "_start_s",
+        "_compute_done_s", "_chiplet_ids",
     )
 
     def __init__(
@@ -282,7 +282,7 @@ class RequestExecution:
             layer_mapping.layer.input_bits * self.batch_size,
             multicast=chiplet_ids,
         )
-        self._ready_s = 0.0
+        self._compute_done_s = 0.0
         allocations = layer_mapping.allocations
         shares = [
             _ChipletShare(self, alloc, input_done) for alloc in allocations
@@ -303,13 +303,11 @@ class RequestExecution:
         index = self._index
         if self.record_timings:
             layer_mapping = self._layers[index]
-            ready_s = self._ready_s
             self.trace.layer_timings.append(
                 LayerTiming(
                     name=layer_mapping.layer.name,
                     start_s=self._start_s,
-                    input_ready_s=ready_s,
-                    compute_done_s=ready_s,
+                    compute_done_s=self._compute_done_s,
                     end_s=self.env._now,
                     chiplets=self._chiplet_ids,
                     vector_ops=layer_mapping.total_vector_ops,
@@ -335,7 +333,7 @@ class _ChipletShare(Event):
       and compute once granted; without one, compute straight away;
     * compute done: wait for the input stream unless it has already
       arrived (then carry on synchronously);
-    * input ready: release the MAC array, note the layer's ready time,
+    * input ready: release the MAC array, note the layer's compute-done time,
       count the lane and vector operations, then write the outputs back
       and succeed once they land (at once for a zero-bit output).
     """
@@ -397,8 +395,8 @@ class _ChipletShare(Event):
             self.occupancy.release()
         execution = self.execution
         now = self.env._now
-        if now > execution._ready_s:
-            execution._ready_s = now
+        if now > execution._compute_done_s:
+            execution._compute_done_s = now
         alloc = self.alloc
         batch_size = execution.batch_size
         kind = alloc.kind

@@ -13,7 +13,6 @@ class LayerTiming:
 
     name: str
     start_s: float
-    input_ready_s: float
     compute_done_s: float
     end_s: float
     chiplets: tuple[str, ...]

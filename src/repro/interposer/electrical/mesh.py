@@ -4,7 +4,9 @@ A 2-D mesh of routers on the interposer, one router per chiplet site,
 XY (dimension-ordered) routing.  Transfers are chunked and forwarded
 store-and-forward per hop; every link and every chiplet
 injection/ejection port is a FIFO bandwidth resource, so hot spots around
-the memory chiplet queue realistically.
+the memory chiplet queue realistically.  A route is one
+:class:`~repro.interposer.base.ChunkStage` per hop (HBM port, injection
+port, links, ejection port), each handing its chunks to the next.
 
 Two modelling notes (see DESIGN.md, calibration):
 
@@ -18,11 +20,18 @@ Two modelling notes (see DESIGN.md, calibration):
 
 from __future__ import annotations
 
+from functools import partial
+
 from ...config import PlatformConfig
 from ...power import params as ep
-from ...sim.core import Environment, Event
-from ...sim.resources import BandwidthChannel, Store
-from ..base import DEFAULT_CHUNK_BITS, InterposerFabric, NetworkEnergyReport
+from ...sim.core import AllOf, Environment, Event
+from ...sim.resources import BandwidthChannel
+from ..base import (
+    DEFAULT_CHUNK_BITS,
+    InterposerFabric,
+    NetworkEnergyReport,
+    start_route,
+)
 from ..topology import Floorplan
 
 
@@ -103,83 +112,64 @@ class ElectricalMeshFabric(InterposerFabric):
             * self.config.chiplet_pitch_mm
         )
 
-    def _chunks(self, bits: float) -> list[float]:
-        if bits <= 0:
-            return []
-        full, remainder = divmod(bits, self.chunk_bits)
-        chunks = [self.chunk_bits] * int(full)
-        if remainder > 0:
-            chunks.append(remainder)
-        return chunks
+    def _route(self, src: str, dst: str, bits: float,
+               through_hbm_first: bool) -> Event:
+        """One chunked transfer along the XY route, behind a bootstrap
+        hop; the event fires after the last chunk and the hop latency."""
+        done = Event(self.env)
+        self.env.call_soon(partial(self._start_route, src, dst, bits,
+                                   through_hbm_first, done))
+        return done
 
-    def _route_proc(self, src: str, dst: str, bits: float,
-                    through_hbm_first: bool):
-        """Store-and-forward pipeline of chunks along the XY route."""
+    def _start_route(self, src: str, dst: str, bits: float,
+                     through_hbm_first: bool, done: Event) -> None:
+        """Bootstrap of a route: store-and-forward stages along it, then
+        the per-hop router and wire latency."""
         chunks = self._chunks(bits)
         if not chunks:
+            done.succeed()
             return
         route = self._xy_route(src, dst)
         if through_hbm_first:
             route = [self.hbm_channel] + route
         else:
             route = route + [self.hbm_channel]
-        hops = len(route) - (2 if through_hbm_first else 2)
-        self.hop_bits += bits * max(1, hops)
+        self.hop_bits += bits * max(1, len(route) - 2)
         self.mm_bits += bits * self.floorplan.manhattan_distance_mm(src, dst)
-
-        # Chain of stores between stages lets chunks pipeline hop-to-hop.
-        stores = [Store(self.env) for _ in range(len(route) - 1)]
-        done = self.env.event()
-
-        def stage(index: int, channel: BandwidthChannel):
-            source = stores[index - 1] if index > 0 else None
-            sink = stores[index] if index < len(stores) else None
-            def run():
-                for position in range(len(chunks)):
-                    if source is None:
-                        chunk = chunks[position]
-                    else:
-                        chunk = yield source.get()
-                    yield self.env.process(channel.transfer(chunk))
-                    if sink is not None:
-                        sink.put(chunk)
-                if index == len(route) - 1:
-                    done.succeed()
-            return run()
-
-        for index, channel in enumerate(route):
-            self.env.process(stage(index, channel))
-        yield done
-        yield self.env.timeout(
+        tail_s = (
             self._per_hop_latency_s()
             * max(1, self.floorplan.manhattan_hops(src, dst))
         )
+        start_route(self.env, route, chunks, tail_s, done)
 
     # -- fabric interface -------------------------------------------------------------
 
     def read(self, dst_chiplet: str, bits: float,
              multicast: tuple[str, ...] | None = None) -> Event:
-        """Memory -> chiplet(s): replicated unicasts (no native broadcast)."""
-        destinations = multicast if multicast else (dst_chiplet,)
-        return self.env.process(self._read_all(destinations, bits))
+        """Memory -> chiplet(s): replicated unicasts (no native broadcast).
 
-    def _read_all(self, destinations: tuple[str, ...], bits: float):
+        A bootstrap hop starts one route per destination; the event fires
+        one hop after the last of them.
+        """
+        destinations = multicast if multicast else (dst_chiplet,)
+        done = Event(self.env)
+        self.env.call_soon(partial(self._start_read, destinations, bits,
+                                   done))
+        return done
+
+    def _start_read(self, destinations: tuple[str, ...], bits: float,
+                    done: Event) -> None:
         self.bits_read += bits * len(destinations)
-        transfers = [
-            self.env.process(
-                self._route_proc("mem-0", destination, bits,
-                                 through_hbm_first=True)
-            )
+        routes = [
+            self._route("mem-0", destination, bits, through_hbm_first=True)
             for destination in destinations
         ]
-        yield self.env.all_of(transfers)
+        AllOf(self.env, routes).callbacks = lambda _event: done.succeed()
 
     def write(self, src_chiplet: str, bits: float) -> Event:
         self.bits_written += bits
-        return self.env.process(
-            self._route_proc(src_chiplet, "mem-0", bits,
-                             through_hbm_first=False)
-        )
+        return self._route(src_chiplet, "mem-0", bits,
+                           through_hbm_first=False)
 
     # -- energy -----------------------------------------------------------------------
 

@@ -14,9 +14,15 @@ is a memory hub pattern — every chiplet mostly talks to the HBM chiplet
 becomes the bottleneck while most of the comb idles.  The topology
 ablation (``benchmarks/bench_awgr_comparison.py``) quantifies this,
 motivating the paper's choice of SWMR/SWSR trees rooted at memory.
+
+A transfer is two :class:`~repro.interposer.base.ChunkStage` s (HBM port
+and pair channel, in transfer direction) plus the gateway conversion
+and protocol latency.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 from ...config import PlatformConfig
 from ...photonics import constants as ph
@@ -25,8 +31,13 @@ from ...photonics.link_budget import LinkBudget
 from ...photonics.photodetector import Photodetector
 from ...power import params as ep
 from ...sim.core import Environment, Event
-from ...sim.resources import BandwidthChannel, Store
-from ..base import DEFAULT_CHUNK_BITS, InterposerFabric, NetworkEnergyReport
+from ...sim.resources import BandwidthChannel
+from ..base import (
+    DEFAULT_CHUNK_BITS,
+    InterposerFabric,
+    NetworkEnergyReport,
+    start_route,
+)
 from ..topology import Floorplan
 from .fabric import PHOTONIC_DYNAMIC_J_PER_BIT
 
@@ -97,41 +108,27 @@ class AWGRInterposerFabric(InterposerFabric):
         yield self.hbm_channel
         yield from self.channels.values()
 
-    def _chunks(self, bits: float) -> list[float]:
-        if bits <= 0:
-            return []
-        full, remainder = divmod(bits, self.chunk_bits)
-        chunks = [self.chunk_bits] * int(full)
-        if remainder > 0:
-            chunks.append(remainder)
-        return chunks
-
     def _piped(self, first: BandwidthChannel, second: BandwidthChannel,
-               bits: float):
-        """Two-stage pipeline (HBM <-> AWGR pair channel)."""
+               bits: float) -> Event:
+        """Two-stage pipeline (HBM <-> AWGR pair channel) behind a
+        bootstrap hop."""
+        done = Event(self.env)
+        self.env.call_soon(partial(self._start_piped, first, second, bits,
+                                   done))
+        return done
+
+    def _start_piped(self, first: BandwidthChannel,
+                     second: BandwidthChannel, bits: float,
+                     done: Event) -> None:
         chunks = self._chunks(bits)
         if not chunks:
-            return
-        buffer: Store = Store(self.env)
-        done = self.env.event()
-
-        def stage_one():
-            for chunk in chunks:
-                yield self.env.process(first.transfer(chunk))
-                buffer.put(chunk)
-
-        def stage_two():
-            for _ in range(len(chunks)):
-                chunk = yield buffer.get()
-                yield self.env.process(second.transfer(chunk))
             done.succeed()
-
-        self.env.process(stage_one())
-        self.env.process(stage_two())
-        yield done
-        yield self.env.timeout(
+            return
+        start_route(
+            self.env, (first, second), chunks,
             self.config.gateway_conversion_latency_s
-            + self.config.gateway_protocol_overhead_s
+            + self.config.gateway_protocol_overhead_s,
+            done,
         )
 
     def read(self, dst_chiplet: str, bits: float,
@@ -141,20 +138,16 @@ class AWGRInterposerFabric(InterposerFabric):
         destinations = multicast if multicast else (dst_chiplet,)
         self.bits_read += bits * len(destinations)
         transfers = [
-            self.env.process(
-                self._piped(self.hbm_channel,
-                            self._channel("mem-0", destination), bits)
-            )
+            self._piped(self.hbm_channel,
+                        self._channel("mem-0", destination), bits)
             for destination in destinations
         ]
         return self.env.all_of(transfers)
 
     def write(self, src_chiplet: str, bits: float) -> Event:
         self.bits_written += bits
-        return self.env.process(
-            self._piped(self._channel(src_chiplet, "mem-0"),
-                        self.hbm_channel, bits)
-        )
+        return self._piped(self._channel(src_chiplet, "mem-0"),
+                           self.hbm_channel, bits)
 
     def energy_report(self) -> NetworkEnergyReport:
         """Always-on energy: a passive AWGR cannot gate anything."""

@@ -74,7 +74,8 @@ class EpochController:
         # (chiplet id, read key, write key, read inventory, write
         # inventory) per compute chiplet, in inventory order.
         self._chiplets = tuple(
-            (chiplet_id, f"read:{chiplet_id}", f"write:{chiplet_id}",
+            (chiplet_id, fabric.read_keys[chiplet_id],
+             fabric.write_keys[chiplet_id],
              inventory.n_read_gateways, inventory.n_write_gateways)
             for chiplet_id, inventory in fabric.inventories.items()
         )

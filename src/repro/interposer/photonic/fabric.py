@@ -109,9 +109,8 @@ class _ChunkRelay:
                 self.on_complete()
 
 
-def _reader_done(monitor, destination: str, bits: float, destination_done):
-    """Reader-stage completion of a one-chunk read to ``destination``."""
-    key = f"read:{destination}"
+def _reader_done(monitor, key: str, bits: float, destination_done):
+    """Reader-stage completion of a one-chunk read, recorded as ``key``."""
 
     def done():
         monitor.record(key, bits)
@@ -149,6 +148,10 @@ class PhotonicInterposerFabric(InterposerFabric):
         self.chiplet_read_channels: dict[str, BandwidthChannel] = {}
         self.chiplet_write_channels: dict[str, BandwidthChannel] = {}
         self.inventories: dict[str, GatewayInventory] = {}
+        # Epoch-monitor keys per compute chiplet, built once: every
+        # message and the controllers share these strings.
+        self.read_keys: dict[str, str] = {}
+        self.write_keys: dict[str, str] = {}
         for site in floorplan.compute_sites:
             group = config.group_by_kind(site.kind)
             inventory = GatewayInventory(
@@ -157,6 +160,8 @@ class PhotonicInterposerFabric(InterposerFabric):
                 n_read_gateways=group.gateways_per_chiplet,
             )
             self.inventories[site.chiplet_id] = inventory
+            self.read_keys[site.chiplet_id] = f"read:{site.chiplet_id}"
+            self.write_keys[site.chiplet_id] = f"write:{site.chiplet_id}"
             self.chiplet_read_channels[site.chiplet_id] = BandwidthChannel(
                 env,
                 inventory.n_read_gateways * self._gateway_bw,
@@ -350,16 +355,6 @@ class PhotonicInterposerFabric(InterposerFabric):
 
     # -- transfers -------------------------------------------------------------------
 
-    def _chunks(self, bits: float) -> list[float]:
-        """Split a payload into channel-granularity chunks."""
-        if bits <= 0:
-            return []
-        full, remainder = divmod(bits, self.chunk_bits)
-        chunks = [self.chunk_bits] * int(full)
-        if remainder > 0:
-            chunks.append(remainder)
-        return chunks
-
     def read(self, dst_chiplet: str, bits: float,
              multicast: tuple[str, ...] | None = None) -> Event:
         """Memory -> chiplet(s) transfer; multicast shares the SWMR stage.
@@ -397,13 +392,14 @@ class PhotonicInterposerFabric(InterposerFabric):
         if bits <= self.chunk_bits:
             monitor = self.monitor
             read_channels = self.chiplet_read_channels
+            read_keys = self.read_keys
 
             def written():
                 monitor.record("mem_read", bits)
                 for destination in destinations:
                     read_channels[destination].request_transfer(
-                        bits, _reader_done(monitor, destination, bits,
-                                           destination_done),
+                        bits, _reader_done(monitor, read_keys[destination],
+                                           bits, destination_done),
                     )
 
             self.hbm_channel.request_transfer(
@@ -419,7 +415,7 @@ class PhotonicInterposerFabric(InterposerFabric):
         readers = [
             _ChunkRelay(
                 self.chiplet_read_channels[destination], self.monitor,
-                f"read:{destination}", None, n, destination_done,
+                self.read_keys[destination], None, n, destination_done,
             )
             for destination in destinations
         ]
@@ -458,9 +454,10 @@ class PhotonicInterposerFabric(InterposerFabric):
             tail = env.timeout(self._transfer_tail_s)
             tail.callbacks = finish
 
+        key = self.write_keys[src_chiplet]
         if bits <= self.chunk_bits:
             def sent():
-                self.monitor.record(f"write:{src_chiplet}", bits)
+                self.monitor.record(key, bits)
                 self.hbm_channel.request_transfer(bits, drained)
 
             self.chiplet_write_channels[src_chiplet].request_transfer(
@@ -474,7 +471,7 @@ class PhotonicInterposerFabric(InterposerFabric):
         )
         source = _ChunkRelay(
             self.chiplet_write_channels[src_chiplet], self.monitor,
-            f"write:{src_chiplet}", hbm.feed, len(chunks), None,
+            key, hbm.feed, len(chunks), None,
         )
         for chunk in chunks:
             source.feed(chunk)

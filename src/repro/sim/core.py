@@ -26,8 +26,9 @@ experiment matrix, so it is tuned):
   and a returning process drops its self-references, so a finished
   process is no longer a reference cycle;
 * callback chains that need no generator frame (the engine's layer
-  loop and chiplet shares, PCMC-deferred writes) hop through the
-  immediate FIFO with :meth:`Environment.call_soon`;
+  loop and chiplet shares, PCMC-deferred writes, the baseline fabrics'
+  chunk stages) hop through the immediate FIFO with
+  :meth:`Environment.call_soon`;
 * the run loops record their time bound (:attr:`Environment.bound`), so
   a perpetual process that knows nothing can fire before the next queued
   event may skip its own no-op wake-ups and reschedule itself at the

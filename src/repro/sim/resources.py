@@ -158,9 +158,10 @@ class BandwidthChannel:
     queued transfers pick up rate changes and in-flight ones do not),
     then invokes ``fn``.  FIFO among all transfers.  This is the
     hottest path of every fabric simulation: one heap event per chunk,
-    no coroutine frame, no per-chunk resource events.  The generator
-    :meth:`transfer` API is kept for process-style callers and shares
-    the same FIFO.
+    no coroutine frame, no per-chunk resource events.  Every fabric
+    drives its channels through :meth:`request_transfer`.  The
+    generator :meth:`transfer` shares the same FIFO; it serves only the
+    kernel tests and the channel-contention microbenchmark.
     """
 
     __slots__ = ("env", "name", "_bandwidth_bps", "_waiting", "_busy",

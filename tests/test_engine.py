@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.config import DEFAULT_PLATFORM
+from repro.core import crosslight as crosslight_module
 from repro.core.crosslight import MonolithicFabric, monolithic_mapping
 from repro.core.engine import (
     ComputeOccupancy,
@@ -22,7 +23,11 @@ from repro.dnn import zoo
 from repro.dnn.workload import LayerWorkload, extract_workload
 from repro.errors import SimulationError
 from repro.experiments.serving_study import simulate_any_serving_cell
+from repro.interposer import base as base_module
+from repro.interposer.base import DEFAULT_CHUNK_BITS, ChunkStage
+from repro.interposer.electrical.mesh import ElectricalMeshFabric
 from repro.interposer.photonic import fabric as fabric_module
+from repro.interposer.photonic.awgr import AWGRInterposerFabric
 from repro.interposer.photonic.fabric import (
     PhotonicInterposerFabric,
     _ChunkRelay,
@@ -39,7 +44,7 @@ from repro.mapping.tiling import TilingResult
 from repro.obs.trace import TraceRecorder
 from repro.serving import scheduler as scheduler_module
 from repro.sim.core import Environment, Process
-from repro.sim.resources import BandwidthChannel, Resource
+from repro.sim.resources import BandwidthChannel, Resource, Store
 from repro.studies import StudySpec, lower_study
 
 
@@ -205,13 +210,11 @@ class GeneratorExecution(RequestExecution):
                 layer_mapping.layer.input_bits * self.batch_size,
                 multicast=layer_mapping.chiplet_ids,
             )
-            input_ready_holder = [0.0]
             compute_done_holder = [0.0]
             chiplet_events = [
                 self.env.process(
                     self._chiplet_proc(
-                        alloc, input_done, input_ready_holder,
-                        compute_done_holder
+                        alloc, input_done, compute_done_holder
                     )
                 )
                 for alloc in layer_mapping.allocations
@@ -230,7 +233,6 @@ class GeneratorExecution(RequestExecution):
                     LayerTiming(
                         name=layer_mapping.layer.name,
                         start_s=start,
-                        input_ready_s=input_ready_holder[0],
                         compute_done_s=compute_done_holder[0],
                         end_s=self.env.now,
                         chiplets=layer_mapping.chiplet_ids,
@@ -238,8 +240,7 @@ class GeneratorExecution(RequestExecution):
                     )
                 )
 
-    def _chiplet_proc(self, alloc, input_done, input_ready_holder,
-                      compute_done_holder):
+    def _chiplet_proc(self, alloc, input_done, compute_done_holder):
         compute_s = (
             alloc.vector_ops * self.batch_size
             / (alloc.n_macs * self.mac_rate_hz)
@@ -257,7 +258,6 @@ class GeneratorExecution(RequestExecution):
             yield self.env.timeout(compute_s)
             if not input_done.processed:
                 yield input_done
-        input_ready_holder[0] = max(input_ready_holder[0], self.env.now)
         compute_done_holder[0] = max(compute_done_holder[0], self.env.now)
         kind = alloc.kind
         self.trace.lane_ops_by_kind[kind] = (
@@ -486,6 +486,272 @@ class TestCallbackChainExactness:
                                           (1, 4_000, 1e3, 1e3)])] * 3)]
         play_executions(RequestExecution, models, [(0, 0, 1), (0, 0, 2)], [])
         assert created == []
+
+
+# ---------------------------------------------------------------------------
+# Exactness of the baseline fabrics' chunk stages against the generator
+# pipelines they replace.
+# ---------------------------------------------------------------------------
+
+CHUNK = DEFAULT_CHUNK_BITS
+MESSAGE_SLOT_S = 1e-6
+"""Issue times are multiples of this, so many messages start together."""
+
+
+class GeneratorMonolithic(MonolithicFabric):
+    """One process per message, one ``transfer`` process per chunk."""
+
+    def _stream(self, channel, bits):
+        return self.env.process(self._stream_proc(channel, bits))
+
+    def _stream_proc(self, channel, bits):
+        for chunk in self._chunks(bits):
+            yield self.env.process(channel.transfer(chunk))
+
+
+class GeneratorMesh(ElectricalMeshFabric):
+    """One process per read, per route and per hop, the hops fed
+    through ``Store``s."""
+
+    def _route(self, src, dst, bits, through_hbm_first):
+        return self.env.process(
+            self._route_proc(src, dst, bits, through_hbm_first)
+        )
+
+    def _route_proc(self, src, dst, bits, through_hbm_first):
+        chunks = self._chunks(bits)
+        if not chunks:
+            return
+        route = self._xy_route(src, dst)
+        if through_hbm_first:
+            route = [self.hbm_channel] + route
+        else:
+            route = route + [self.hbm_channel]
+        hops = len(route) - 2
+        self.hop_bits += bits * max(1, hops)
+        self.mm_bits += bits * self.floorplan.manhattan_distance_mm(src, dst)
+        stores = [Store(self.env) for _ in range(len(route) - 1)]
+        done = self.env.event()
+
+        def stage(index, channel):
+            source = stores[index - 1] if index > 0 else None
+            sink = stores[index] if index < len(stores) else None
+            for position in range(len(chunks)):
+                if source is None:
+                    chunk = chunks[position]
+                else:
+                    chunk = yield source.get()
+                yield self.env.process(channel.transfer(chunk))
+                if sink is not None:
+                    sink.put(chunk)
+            if index == len(route) - 1:
+                done.succeed()
+
+        for index, channel in enumerate(route):
+            self.env.process(stage(index, channel))
+        yield done
+        yield self.env.timeout(
+            self._per_hop_latency_s()
+            * max(1, self.floorplan.manhattan_hops(src, dst))
+        )
+
+    def read(self, dst_chiplet, bits, multicast=None):
+        destinations = multicast if multicast else (dst_chiplet,)
+        return self.env.process(self._read_all(destinations, bits))
+
+    def _read_all(self, destinations, bits):
+        self.bits_read += bits * len(destinations)
+        transfers = [
+            self._route("mem-0", destination, bits, through_hbm_first=True)
+            for destination in destinations
+        ]
+        yield self.env.all_of(transfers)
+
+
+class GeneratorAWGR(AWGRInterposerFabric):
+    """One process per transfer and per stage, the stages fed through
+    a ``Store``."""
+
+    def _piped(self, first, second, bits):
+        return self.env.process(self._piped_proc(first, second, bits))
+
+    def _piped_proc(self, first, second, bits):
+        chunks = self._chunks(bits)
+        if not chunks:
+            return
+        buffer = Store(self.env)
+        done = self.env.event()
+
+        def stage_one():
+            for chunk in chunks:
+                yield self.env.process(first.transfer(chunk))
+                buffer.put(chunk)
+
+        def stage_two():
+            for _ in range(len(chunks)):
+                chunk = yield buffer.get()
+                yield self.env.process(second.transfer(chunk))
+            done.succeed()
+
+        self.env.process(stage_one())
+        self.env.process(stage_two())
+        yield done
+        yield self.env.timeout(
+            self.config.gateway_conversion_latency_s
+            + self.config.gateway_protocol_overhead_s
+        )
+
+
+BASELINES = {
+    "mono": (MonolithicFabric, GeneratorMonolithic),
+    "mesh": (ElectricalMeshFabric, GeneratorMesh),
+    "awgr": (AWGRInterposerFabric, GeneratorAWGR),
+}
+
+
+def play_messages(cls, messages):
+    """Issue ``messages`` on a fresh fabric of class ``cls``.
+
+    Each message is ``(slot, op, chiplet, fanout, bits)``: ``op`` is
+    ``read`` (to ``fanout`` consecutive chiplets, as a multicast when
+    more than one), ``write`` or ``weights``.  Returns the kernel log of
+    channel requests and completions and of message completions as
+    ``(what, now, sequence)``, the final clock and sequence, the
+    fabric's bit counters and its channel statistics.
+    """
+    env = Environment()
+    if issubclass(cls, MonolithicFabric):
+        fabric = cls(env, DEFAULT_PLATFORM)
+    else:
+        fabric = cls(env, DEFAULT_PLATFORM, build_floorplan(DEFAULT_PLATFORM))
+    log = []
+
+    def note(what):
+        log.append((what, env._now, env._sequence))
+
+    request_transfer = BandwidthChannel.request_transfer
+
+    def logged_transfer(channel, bits, fn):
+        note(("transfer", channel.name, bits))
+
+        def landed():
+            note(("landed", channel.name, bits))
+            fn()
+
+        request_transfer(channel, bits, landed)
+
+    def issue(number, op, chiplet, fanout, bits):
+        if op == "read":
+            destinations = tuple(
+                CHIPLETS[(chiplet + offset) % len(CHIPLETS)]
+                for offset in range(fanout)
+            )
+            event = fabric.read(destinations[0], bits,
+                                multicast=destinations if fanout > 1
+                                else None)
+        elif op == "write":
+            event = fabric.write(CHIPLETS[chiplet], bits)
+        else:
+            event = fabric.read_weights(CHIPLETS[chiplet], bits)
+        event._add_callback(lambda _event: note(("done", number)))
+
+    def fire_slot(slot):
+        def fire(_event):
+            for number, (at, *message) in enumerate(messages):
+                if at == slot:
+                    issue(number, *message)
+        return fire
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(BandwidthChannel, "request_transfer", logged_transfer)
+        for slot in sorted({message[0] for message in messages}):
+            env.timeout(slot * MESSAGE_SLOT_S).callbacks = fire_slot(slot)
+        env.run()
+    note("end")
+    counters = {
+        name: getattr(fabric, name, None)
+        for name in ("bits_read", "bits_written", "hop_bits", "mm_bits",
+                     "weight_bits_moved")
+    }
+    return log, counters, fabric.channel_stats()
+
+
+bits_st = st.builds(
+    lambda full, remainder: full * CHUNK + remainder,
+    st.integers(0, 3), st.sampled_from([0.0, 1.0, 1e3, 0.5 * CHUNK]),
+)
+message_st = st.tuples(
+    st.integers(0, 3),
+    st.sampled_from(["read", "write", "weights"]),
+    st.integers(0, len(CHIPLETS) - 1),
+    st.integers(1, 4),
+    bits_st,
+)
+
+# Three multi-chunk multicast reads to overlapping chiplet sets, a
+# multi-chunk write and a weight fetch, all issued at once, then an
+# empty message and one below a chunk behind them.
+CROWDED = [
+    (0, "read", 0, 4, 3 * CHUNK + 1e3),
+    (0, "read", 2, 3, 2 * CHUNK),
+    (0, "write", 1, 1, 2 * CHUNK + 0.5 * CHUNK),
+    (0, "weights", 3, 1, CHUNK),
+    (0, "read", 1, 2, 2 * CHUNK),
+    (1, "write", 0, 1, 0.0),
+    (1, "read", 0, 1, 1e3),
+]
+
+
+class TestChunkStageExactness:
+    """The chunk stages of the monolithic, mesh and AWGR fabrics make
+    every scheduling operation of the generator pipelines at the same
+    time and sequence number, so no record can drift."""
+
+    @pytest.mark.parametrize("fabric", sorted(BASELINES))
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(message_st, min_size=1, max_size=8))
+    @example(CROWDED)
+    def test_matches_generator_pipelines(self, fabric, messages):
+        stages, generators = BASELINES[fabric]
+        assert (play_messages(stages, messages)
+                == play_messages(generators, messages))
+
+    @pytest.mark.parametrize("fabric", sorted(BASELINES))
+    def test_no_process_per_message(self, fabric, monkeypatch):
+        created = []
+        original = Process.__init__
+
+        def init(self, env, generator):
+            created.append(generator.__name__)
+            original(self, env, generator)
+
+        monkeypatch.setattr(Process, "__init__", init)
+        play_messages(BASELINES[fabric][0], CROWDED)
+        assert created == []
+
+    @pytest.mark.parametrize("fabric", sorted(BASELINES))
+    def test_finished_stages_are_freed_without_the_collector(
+            self, fabric, monkeypatch):
+        stages = []
+
+        class TrackedStage(ChunkStage):
+            __slots__ = ("__weakref__",)
+
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                stages.append(weakref.ref(self))
+
+        monkeypatch.setattr(base_module, "ChunkStage", TrackedStage)
+        monkeypatch.setattr(crosslight_module, "ChunkStage", TrackedStage)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            play_messages(BASELINES[fabric][0], CROWDED)
+            assert stages
+            assert [ref for ref in stages if ref() is not None] == []
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestServingRecordsUnchanged:
