@@ -67,7 +67,7 @@ class ChunkStage:
                  "_position", "_fed", "_available", "_waiting")
 
     def __init__(self, env: Environment, channel: BandwidthChannel,
-                 chunks: list[float], upstream: "ChunkStage | None" = None,
+                 chunks: list[float], upstream: ChunkStage | None = None,
                  done: Event | None = None, tail_s: float | None = None):
         self.env = env
         self.channel = channel

@@ -148,8 +148,9 @@ class ElectricalMeshFabric(InterposerFabric):
              multicast: tuple[str, ...] | None = None) -> Event:
         """Memory -> chiplet(s): replicated unicasts (no native broadcast).
 
-        A bootstrap hop starts one route per destination; the event fires
-        one hop after the last of them.
+        A bootstrap hop starts one route per destination; once all have
+        landed, the event fires after the hops of their barrier and of
+        the read's own completion.
         """
         destinations = multicast if multicast else (dst_chiplet,)
         done = Event(self.env)

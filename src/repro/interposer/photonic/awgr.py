@@ -15,9 +15,9 @@ becomes the bottleneck while most of the comb idles.  The topology
 ablation (``benchmarks/bench_awgr_comparison.py``) quantifies this,
 motivating the paper's choice of SWMR/SWSR trees rooted at memory.
 
-A transfer is two :class:`~repro.interposer.base.ChunkStage` s (HBM port
-and pair channel, in transfer direction) plus the gateway conversion
-and protocol latency.
+A transfer is a two-stage :func:`~repro.interposer.base.start_route`
+(HBM port and pair channel, in transfer direction) followed by the
+gateway conversion and protocol latency.
 """
 
 from __future__ import annotations
